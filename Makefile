@@ -85,13 +85,17 @@ bench-link:
 
 # linkbench-smoke keeps the warm-path suite honest on every push: each link
 # benchmark runs once, then a command-line -warmcheck link proves a warm
-# relink is byte-identical to the cold link that preceded it.
+# relink is byte-identical to the cold link that preceded it. The program
+# carries a 1 MiB common, and the image must stay under 64 KiB: linked
+# images store only initialized data, never the zeros of commons and bss.
 linkbench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)' -benchtime 1x -count 1 .
 	@dir=$$(mktemp -d); \
-	printf 'long g;\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); i = i + 1; } return g; }\n' > $$dir/t.tc; \
+	printf 'long g;\nlong big[131072];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i] = g; i = i + 1; } return g; }\n' > $$dir/t.tc; \
 	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \
-	$(GO) run ./cmd/om -warmcheck -o $$dir/a.out $$dir/t.o; \
+	$(GO) run ./cmd/om -warmcheck -o $$dir/a.out $$dir/t.o && \
+	size=$$(wc -c < $$dir/a.out) && \
+	if [ $$size -gt 65536 ]; then echo "linkbench-smoke: a.out is $$size bytes, over 64 KiB"; false; fi; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 # trace-smoke proves the decision journal accounts for every candidate

@@ -8,7 +8,8 @@
 // instructions_per_sec filled in; runs under -benchmem also record
 // bytes_per_op and allocs_per_op (the warm-link record tracks both). With
 // -baseline, a previous record is embedded under "baseline" so a single
-// file shows the perf trajectory.
+// file shows the perf trajectory. When -o overwrites a record measured in
+// a different environment, a "note" says the two are not comparable.
 //
 // Usage: go test -run '^$' -bench Sim . ./internal/sim | benchjson -o BENCH_sim.json
 package main
@@ -29,11 +30,14 @@ import (
 )
 
 type record struct {
-	Date        string          `json:"date"`
-	Commit      string          `json:"commit"`
-	Environment environment     `json:"environment"`
-	Benchmarks  []benchmark     `json:"benchmarks"`
-	Baseline    json.RawMessage `json:"baseline,omitempty"`
+	Date        string      `json:"date"`
+	Commit      string      `json:"commit"`
+	Environment environment `json:"environment"`
+	// Note warns when the record replaces one measured in a different
+	// environment, whose numbers are then not comparable with these.
+	Note       string          `json:"note,omitempty"`
+	Benchmarks []benchmark     `json:"benchmarks"`
+	Baseline   json.RawMessage `json:"baseline,omitempty"`
 }
 
 // environment records where the numbers were measured, so regressions can
@@ -144,6 +148,9 @@ func main() {
 		}
 		rec.Baseline = json.RawMessage(compact.Bytes())
 	}
+	if *out != "" {
+		rec.Note = environmentNote(*out, rec)
+	}
 	data, err := json.MarshalIndent(rec, "", "\t")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -158,4 +165,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// environmentNote compares rec with the record it is about to overwrite.
+// When the CPU count, GOMAXPROCS, Go version or host differ, the note says
+// which earlier measurement the new numbers must not be compared with.
+func environmentNote(path string, rec record) string {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return ""
+	}
+	var prev record
+	if json.Unmarshal(raw, &prev) != nil || prev.Environment == rec.Environment {
+		return ""
+	}
+	p := prev.Environment
+	return fmt.Sprintf("measured with num_cpu %d and GOMAXPROCS %d (%s, host %q); not comparable "+
+		"with the previous record (%s, commit %s), measured with num_cpu %d and GOMAXPROCS %d (%s, host %q)",
+		rec.Environment.NumCPU, rec.Environment.GOMAXPROCS, rec.Environment.GoVersion, rec.Environment.Host,
+		prev.Date, prev.Commit, p.NumCPU, p.GOMAXPROCS, p.GoVersion, p.Host)
 }

@@ -98,23 +98,23 @@ func dumpProc(prog *om.Prog, pr *om.Proc) {
 			fmt.Print(" LITUSE jsr")
 		case si.Use != nil:
 			fmt.Print(" LITUSE base")
-		case si.GPD != nil && si.GPD.High && si.GPD.Entry:
+		case si.GPD() != nil && si.GPD().High && si.GPD().Entry:
 			fmt.Print(" GPDISP prologue (hi)")
-		case si.GPD != nil && si.GPD.High:
+		case si.GPD() != nil && si.GPD().High:
 			fmt.Print(" GPDISP after-call (hi)")
-		case si.GPD != nil:
+		case si.GPD() != nil:
 			fmt.Print(" GPDISP (lo)")
-		case si.Call != nil:
-			fmt.Printf(" CALL %s+%d", si.Call.Target.Name, si.Call.EntryOffset)
+		case si.Call() != nil:
+			fmt.Printf(" CALL %s+%d", si.Call().Target.Name, si.Call().EntryOffset)
 		case si.Indirect:
 			fmt.Print(" indirect call")
-		case si.GPRel != nil:
-			fmt.Printf(" GPREL %s%+d", si.GPRel.Key.Name, si.GPRel.Extra)
+		case si.GPRel() != nil:
+			fmt.Printf(" GPREL %s%+d", si.GPRel().Key.Name, si.GPRel().Extra)
 		}
 		if si.In.Op.IsBranch() && si.Target >= 0 {
 			fmt.Printf(" -> L%d", si.Target)
 		}
-		for _, l := range si.Labels {
+		for _, l := range si.Labels() {
 			fmt.Printf(" [L%d]", l)
 		}
 		fmt.Println()

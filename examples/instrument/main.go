@@ -56,7 +56,7 @@ func main() {
 		blocks := 1
 		addrLoads, calls, indirect := 0, 0, 0
 		for i, si := range pr.Insts {
-			if i > 0 && len(si.Labels) > 0 {
+			if i > 0 && len(si.Labels()) > 0 {
 				blocks++
 			}
 			if si.In.Op.IsBranch() && i+1 < len(pr.Insts) {
@@ -85,8 +85,8 @@ func main() {
 		var callees []string
 		for _, si := range pr.Insts {
 			var target *om.Proc
-			if si.Call != nil {
-				target = si.Call.Target
+			if si.Call() != nil {
+				target = si.Call().Target
 			} else if si.Use != nil && si.Use.JSR {
 				target = prog.ProcFor(si.Use.Lit.Lit.Key)
 			}

@@ -1,5 +1,7 @@
 package axp
 
+import "slices"
+
 // OpLatency is the issue-to-use latency table of the modeled 21064-class
 // pipeline, shared by the compile-time scheduler (internal/tcc) and OM's
 // link-time rescheduler (internal/om).
@@ -23,25 +25,50 @@ func OpLatency(op Op) int {
 // in both files, and conservative memory ordering (stores are ordered with
 // every other memory access; loads may reorder among themselves).
 func ScheduleOrder(insts []Inst) []int {
+	var s Scheduler
+	return s.Order(insts, nil)
+}
+
+// Scheduler is ScheduleOrder with working storage that is kept from one
+// block to the next, for callers that schedule many blocks. The zero value
+// is ready to use; a Scheduler is not safe for concurrent use.
+type Scheduler struct {
+	nodes []schedNode
+	// edges holds every dependence edge; each node's successors form a
+	// list threaded through it from schedNode.succ.
+	edges []schedEdge
+}
+
+type schedNode struct {
+	reads, writes   uint64
+	freads, fwrites uint64
+	isMem, isStore  bool
+	scheduled       bool
+	lat             int
+	succ            int32 // first edge, or -1
+	npreds          int
+	prio            int
+	ready           int
+}
+
+type schedEdge struct {
+	to, next int32
+}
+
+// Order schedules insts like ScheduleOrder and writes the permutation over
+// order[:0], returning it.
+func (s *Scheduler) Order(insts []Inst, order []int) []int {
 	n := len(insts)
-	order := make([]int, 0, n)
-	if n == 0 {
+	order = order[:0]
+	if n <= 1 {
+		if n == 1 {
+			order = append(order, 0)
+		}
 		return order
 	}
-	if n == 1 {
-		return append(order, 0)
-	}
-	type node struct {
-		reads, writes   uint64
-		freads, fwrites uint64
-		isMem, isStore  bool
-		lat             int
-		succs           []int
-		npreds          int
-		prio            int
-		ready           int
-	}
-	nodes := make([]node, n)
+	s.nodes = slices.Grow(s.nodes[:0], n)[:n]
+	s.edges = s.edges[:0]
+	nodes := s.nodes
 	for i, in := range insts {
 		reads, freads := in.ReadMasks()
 		var writes, fwrites uint64
@@ -51,11 +78,12 @@ func ScheduleOrder(insts []Inst) []int {
 		if fw := in.WritesF(); fw != FZero {
 			fwrites |= 1 << fw
 		}
-		nodes[i] = node{
+		nodes[i] = schedNode{
 			reads: reads, writes: writes, freads: freads, fwrites: fwrites,
 			isMem:   in.Op.IsMem(),
 			isStore: in.Op.IsStore(),
 			lat:     OpLatency(in.Op),
+			succ:    -1,
 		}
 	}
 	for j := 1; j < n; j++ {
@@ -69,27 +97,28 @@ func ScheduleOrder(insts []Inst) []int {
 				ni.fwrites&nj.fwrites != 0 ||
 				(ni.isMem && nj.isMem && (ni.isStore || nj.isStore))
 			if dep {
-				ni.succs = append(ni.succs, j)
+				s.edges = append(s.edges, schedEdge{to: int32(j), next: ni.succ})
+				ni.succ = int32(len(s.edges) - 1)
 				nj.npreds++
 			}
 		}
 	}
+	edges := s.edges
 	for i := n - 1; i >= 0; i-- {
 		p := nodes[i].lat
-		for _, s := range nodes[i].succs {
-			if nodes[i].lat+nodes[s].prio > p {
-				p = nodes[i].lat + nodes[s].prio
+		for e := nodes[i].succ; e >= 0; e = edges[e].next {
+			if q := nodes[i].lat + nodes[edges[e].to].prio; q > p {
+				p = q
 			}
 		}
 		nodes[i].prio = p
 	}
-	scheduled := make([]bool, n)
 	clock := 0
 	for len(order) < n {
 		best := -1
 		minFuture := 1 << 30
 		for i := 0; i < n; i++ {
-			if scheduled[i] || nodes[i].npreds > 0 {
+			if nodes[i].scheduled || nodes[i].npreds > 0 {
 				continue
 			}
 			if nodes[i].ready > clock {
@@ -107,12 +136,13 @@ func ScheduleOrder(insts []Inst) []int {
 			clock = minFuture
 			continue
 		}
-		scheduled[best] = true
+		nodes[best].scheduled = true
 		order = append(order, best)
-		for _, s := range nodes[best].succs {
-			nodes[s].npreds--
-			if t := clock + nodes[best].lat; t > nodes[s].ready {
-				nodes[s].ready = t
+		for e := nodes[best].succ; e >= 0; e = edges[e].next {
+			sn := &nodes[edges[e].to]
+			sn.npreds--
+			if t := clock + nodes[best].lat; t > sn.ready {
+				sn.ready = t
 			}
 		}
 		clock++

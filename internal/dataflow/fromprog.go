@@ -61,7 +61,7 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 		labelIdx := make(map[int]int)
 		n := 0
 		for _, si := range pr.Insts {
-			for _, l := range si.Labels {
+			for _, l := range si.Labels() {
 				labelIdx[l] = n
 			}
 			if !si.Deleted {
@@ -91,7 +91,7 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 			inst.Addr = addr + uint64(4*i)
 			inst.BranchTo = -1
 			inst.SetsGP, inst.SetsGPHi, inst.GPAnchor = -1, -1, -1
-			inst.HasLabel = len(si.Labels) > 0
+			inst.HasLabel = len(si.Labels()) > 0
 			if si.Target >= 0 {
 				if t, ok := labelIdx[si.Target]; ok && t < len(live) {
 					inst.BranchTo = t
@@ -99,10 +99,10 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 			}
 
 			switch {
-			case si.Call != nil:
+			case si.Call() != nil:
 				inst.Call = true
 				inst.Targets = []CallTarget{{
-					Proc: procIdx[si.Call.Target], Off: si.Call.EntryOffset,
+					Proc: procIdx[si.Call().Target], Off: si.Call().EntryOffset,
 				}}
 			case si.In.Op == axp.JSR:
 				inst.Call = true
@@ -133,11 +133,11 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 			// GP-establishing pairs: mark the halves so the interpreter
 			// models them as a unit (their displacements are symbolic).
 			// A nullified half no longer writes GP and carries no mark.
-			if si.GPD != nil && si.In.Writes() == axp.GP {
-				if si.GPD.High {
+			if si.GPD() != nil && si.In.Writes() == axp.GP {
+				if si.GPD().High {
 					inst.SetsGPHi = dp.Cluster
-					if si.GPD.AfterCall != nil {
-						if a, ok := liveIdx[si.GPD.AfterCall]; ok {
+					if si.GPD().AfterCall != nil {
+						if a, ok := liveIdx[si.GPD().AfterCall]; ok {
 							inst.GPAnchor = a
 						} else {
 							inst.GPAnchor = -2 // anchor call deleted: never valid
@@ -169,10 +169,10 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 						inst.LitDetail = fmt.Sprintf("GAT slot for %s at displacement %d, outside the 16-bit window", si.Lit.Key.Name, d)
 					}
 				}
-			case si.GPRel != nil:
-				switch si.GPRel.Kind {
+			case si.GPRel() != nil:
+				switch si.GPRel().Kind {
 				case om.GPRelLDA:
-					v, err := addrValue(si.GPRel.Key, si.GPRel.Extra)
+					v, err := addrValue(si.GPRel().Key, si.GPRel().Extra)
 					if err != nil {
 						return nil, fmt.Errorf("dataflow: %s: %w", pr.Name, err)
 					}
@@ -189,8 +189,8 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 			// register but the load is gone and the use was never
 			// rewritten — the invariant OM's passes must preserve, and
 			// the one the fault-injection hook breaks.
-			if si.Use != nil && si.Use.Lit != nil && si.GPRel == nil &&
-				!(si.Call != nil && si.Call.FromJSR) {
+			if si.Use != nil && si.Use.Lit != nil && si.GPRel() == nil &&
+				!(si.Call() != nil && si.Call().FromJSR) {
 				lit := si.Use.Lit
 				broken := lit.Deleted || lit.Lit == nil || lit.Lit.Nullified
 				if broken {

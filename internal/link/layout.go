@@ -67,7 +67,8 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	// --- Data layout per region: [GATs][sdata][sbss][data][commons][bss].
 	// Small sections sit right after the GATs so GP-relative 16-bit
 	// references (and OM's rewrites) can reach them; large data and commons
-	// follow. Each region's data segment is one explicit blob.
+	// follow. Only the initialized runs are stored (DataSegments); the rest
+	// of each region is segment zero tails.
 	dcur := [2]uint64{objfile.DataBase, objfile.SharedDataBase}
 	for gi, g := range gats {
 		r := 0
@@ -99,10 +100,12 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	}
 	place(objfile.SecBss)
 	dataEnd := [2]uint64{(dcur[0] + 7) &^ 7, (dcur[1] + 7) &^ 7}
-	// Refuse to materialize an implausible data segment: each input section
-	// and common is individually bounded by objfile.Validate, but a module
-	// set could still sum to an allocation no real program needs. The typed
-	// error keeps corrupt-input handling classifiable end to end.
+	// Refuse an implausible data region: each input section and common is
+	// individually bounded by objfile.Validate, but a module set could still
+	// sum to an extent no real program needs, and a loader backs the whole
+	// extent with memory even though the image stores only its initialized
+	// runs. The typed error keeps corrupt-input handling classifiable end
+	// to end.
 	const maxSegment = 1 << 31
 	if dataEnd[0]-objfile.DataBase > maxSegment || dataEnd[1]-objfile.SharedDataBase > maxSegment {
 		return nil, fmt.Errorf("link: %w: data segment exceeds %d bytes", objfile.ErrTooLarge, uint64(maxSegment))
@@ -119,34 +122,6 @@ func (p *Program) Layout() (*objfile.Image, error) {
 		}
 		return 0, fmt.Errorf("link: address of non-definition %s", s.Name)
 	}
-	addrOfTarget := func(t Target, addend int64) (uint64, error) {
-		if t.Kind == TCommon {
-			a, ok := commonAddr[t.Name]
-			if !ok {
-				return 0, fmt.Errorf("link: unplaced common %s", t.Name)
-			}
-			return a + uint64(addend), nil
-		}
-		a, err := addrOfDef(t.Mod, t.Sym)
-		if err != nil {
-			return 0, err
-		}
-		return a + uint64(addend), nil
-	}
-
-	// --- Build the data segment images (static and, if present, shared).
-	dataBases := [2]uint64{objfile.DataBase, objfile.SharedDataBase}
-	blobs := [2][]byte{
-		make([]byte, dataEnd[0]-objfile.DataBase),
-		make([]byte, dataEnd[1]-objfile.SharedDataBase),
-	}
-	putQuad := func(addr uint64, v uint64) {
-		r := 0
-		if addr >= objfile.SharedDataBase {
-			r = 1
-		}
-		objfile.PutUint64(blobs[r], addr-dataBases[r], v)
-	}
 	keyAddr := func(k TargetKey) (uint64, error) {
 		if k.Kind == TCommon {
 			a, ok := commonAddr[k.Name]
@@ -161,30 +136,18 @@ func (p *Program) Layout() (*objfile.Image, error) {
 		}
 		return a + uint64(k.Addend), nil
 	}
-	for _, g := range gats {
-		for i, k := range g.slots {
-			a, err := keyAddr(k)
-			if err != nil {
-				return nil, err
-			}
-			putQuad(g.start+uint64(i*8), a)
-		}
+	addrOfTarget := func(t Target, addend int64) (uint64, error) { return keyAddr(Key(t, addend)) }
+
+	// --- Build the sparse data segments (static and, if present, shared).
+	gatStart := make([]uint64, len(gats))
+	for i, g := range gats {
+		gatStart[i] = g.start
 	}
-	for m, obj := range p.Objects {
-		r := regionOf(p, m)
-		for _, sec := range []objfile.SectionKind{objfile.SecSData, objfile.SecData} {
-			copy(blobs[r][secBase[m][sec]-dataBases[r]:], obj.Sections[sec].Data)
-		}
-		for _, rel := range obj.Relocs {
-			if rel.Kind != objfile.RRefQuad || rel.Section == objfile.SecLita {
-				continue
-			}
-			a, err := addrOfTarget(p.Resolve(m, rel.Symbol), rel.Addend)
-			if err != nil {
-				return nil, err
-			}
-			putQuad(secBase[m][rel.Section]+rel.Offset, a)
-		}
+	dataSegs, err := p.DataSegments(&DataPlacement{
+		GAT: gplan, GATStart: gatStart, SecBase: secBase, End: dataEnd,
+	}, keyAddr)
+	if err != nil {
+		return nil, err
 	}
 
 	// --- Build the text segment images and apply text relocations.
@@ -269,16 +232,14 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	// --- Image symbols.
 	im := &objfile.Image{
 		Entry: entryAddr,
-		Segments: []objfile.Segment{
+		Segments: append([]objfile.Segment{
 			{Name: ".text", Addr: objfile.TextBase, Data: texts[0]},
-			{Name: ".data", Addr: objfile.DataBase, Data: blobs[0]},
-		},
+		}, dataSegs[0]...),
 	}
-	if len(texts[1]) > 0 || len(blobs[1]) > 0 {
+	if len(texts[1]) > 0 || dataEnd[1] > objfile.SharedDataBase {
 		im.Segments = append(im.Segments,
-			objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]},
-			objfile.Segment{Name: ".data.so", Addr: objfile.SharedDataBase, Data: blobs[1]},
-		)
+			objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]})
+		im.Segments = append(im.Segments, dataSegs[1]...)
 	}
 	for m, obj := range p.Objects {
 		for s := range obj.Symbols {

@@ -55,6 +55,11 @@ func FuzzImageRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	var sparse bytes.Buffer
+	if err := sparseImage().Write(&sparse); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sparse.Bytes())
 	f.Add([]byte(imgMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

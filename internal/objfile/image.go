@@ -1,7 +1,6 @@
 package objfile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -42,7 +41,8 @@ type Segment struct {
 	Name string
 	Addr uint64
 	Data []byte
-	// ZeroSize extends the segment with zero-initialized bytes (bss).
+	// ZeroSize extends the segment with zero-initialized bytes: bss, or a
+	// hole between two initialized runs of a sparse data region.
 	ZeroSize uint64
 }
 
@@ -79,7 +79,9 @@ func (im *Image) GATBytes() uint64 {
 // TextSegment returns the segment named ".text", or nil.
 func (im *Image) TextSegment() *Segment { return im.segment(".text") }
 
-// DataSegment returns the segment named ".data", or nil.
+// DataSegment returns the first segment named ".data", or nil. A linked
+// image's static data region may continue in further adjacent ".data"
+// segments, one per run of initialized data.
 func (im *Image) DataSegment() *Segment { return im.segment(".data") }
 
 func (im *Image) segment(name string) *Segment {
@@ -162,7 +164,7 @@ func (im *Image) TextSegments() []*Segment {
 
 // Write serializes the image.
 func (im *Image) Write(w io.Writer) error {
-	cw := &countWriter{w: bufio.NewWriter(w)}
+	cw := newCountWriter(w)
 	cw.bytesRaw([]byte(imgMagic))
 	cw.u32(version)
 	cw.u64(im.Entry)
@@ -187,19 +189,29 @@ func (im *Image) Write(w io.Writer) error {
 		cw.u64(g.End)
 		cw.u64(g.GP)
 	}
-	if cw.err != nil {
-		return cw.err
+	return cw.flush()
+}
+
+// EncodedLen returns the number of bytes Write produces for the image.
+func (im *Image) EncodedLen() int {
+	n := len(imgMagic) + 4 + 8 + 8
+	for _, s := range im.Segments {
+		n += 8 + len(s.Name) + 8 + 8 + len(s.Data) + 8
 	}
-	return cw.w.Flush()
+	n += 8
+	for _, s := range im.Symbols {
+		n += 8 + len(s.Name) + 8 + 8 + 1 + 8
+	}
+	return n + 8 + 24*len(im.GATs)
 }
 
 // ReadImage deserializes an image written by Write.
 func ReadImage(r io.Reader) (*Image, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	rd.raw(magic[:])
-	if rd.err == nil && string(magic[:]) != imgMagic {
-		return nil, fmt.Errorf("objfile: %w: bad image magic %q", ErrBadMagic, magic[:])
+	rd := newReader(r)
+	magic := rd.word[:4]
+	rd.raw(magic)
+	if rd.err == nil && string(magic) != imgMagic {
+		return nil, fmt.Errorf("objfile: %w: bad image magic %q", ErrBadMagic, magic)
 	}
 	if v := rd.u32(); rd.err == nil && v != version {
 		return nil, fmt.Errorf("objfile: %w: unsupported image version %d", ErrBadMagic, v)
@@ -208,7 +220,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 	nseg := rd.u64()
 	for i := uint64(0); i < nseg && rd.err == nil; i++ {
 		var s Segment
-		s.Name = rd.str()
+		s.Name = rd.string()
 		s.Addr = rd.u64()
 		s.Data = rd.bytes(maxBlob)
 		s.ZeroSize = rd.u64()
@@ -217,7 +229,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 	nsym := rd.u64()
 	for i := uint64(0); i < nsym && rd.err == nil; i++ {
 		var s ImageSymbol
-		s.Name = rd.str()
+		s.Name = rd.string()
 		s.Addr = rd.u64()
 		s.Size = rd.u64()
 		s.Kind = SymbolKind(rd.u8())

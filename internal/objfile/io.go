@@ -16,8 +16,35 @@ const (
 )
 
 type countWriter struct {
-	w   *bufio.Writer
+	w   byteWriter
 	err error
+}
+
+// byteWriter is what serialization writes to: a *bufio.Writer, or a
+// *bytes.Buffer that needs no buffer of its own.
+type byteWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+// newCountWriter buffers w unless it already takes bytes and strings one
+// at a time; flush completes the write.
+func newCountWriter(w io.Writer) *countWriter {
+	if bw, ok := w.(byteWriter); ok {
+		return &countWriter{w: bw}
+	}
+	return &countWriter{w: bufio.NewWriter(w)}
+}
+
+func (cw *countWriter) flush() error {
+	if cw.err != nil {
+		return cw.err
+	}
+	if f, ok := cw.w.(*bufio.Writer); ok {
+		return f.Flush()
+	}
+	return nil
 }
 
 func (cw *countWriter) u8(v uint8) {
@@ -59,8 +86,38 @@ func (cw *countWriter) str(s string) {
 }
 
 type reader struct {
-	r   *bufio.Reader
+	r   byteReader
 	err error
+	// word backs fixed-width reads without a per-read allocation.
+	word [8]byte
+	// scratch holds a string while it is read.
+	scratch []byte
+}
+
+// byteReader is what deserialization reads from: the input itself when
+// it already reads a byte at a time (a *bytes.Reader does), else a
+// *bufio.Reader over it.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func newReader(r io.Reader) *reader {
+	if br, ok := r.(byteReader); ok {
+		return &reader{r: br}
+	}
+	return &reader{r: bufio.NewReader(r)}
+}
+
+// prealloc bounds a declared element count by what the input can still
+// hold at minSize bytes per element, so a corrupt count cannot force a
+// large allocation before the read fails.
+func (rd *reader) prealloc(n uint64, minSize int) int {
+	limit := uint64(1024)
+	if l, ok := rd.r.(interface{ Len() int }); ok {
+		limit = uint64(l.Len() / minSize)
+	}
+	return int(min(n, limit))
 }
 
 func (rd *reader) u8() uint8 {
@@ -81,15 +138,13 @@ func truncated(err error) error {
 }
 
 func (rd *reader) u32() uint32 {
-	var b [4]byte
-	rd.raw(b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	rd.raw(rd.word[:4])
+	return binary.LittleEndian.Uint32(rd.word[:4])
 }
 
 func (rd *reader) u64() uint64 {
-	var b [8]byte
-	rd.raw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	rd.raw(rd.word[:8])
+	return binary.LittleEndian.Uint64(rd.word[:8])
 }
 
 func (rd *reader) i64() int64 { return int64(rd.u64()) }
@@ -101,15 +156,20 @@ func (rd *reader) raw(b []byte) {
 	}
 }
 
-func (rd *reader) bytes(limit uint64) []byte {
+// length reads a declared byte count, failing when it exceeds limit.
+func (rd *reader) length(limit uint64) uint64 {
 	n := rd.u64()
-	if rd.err != nil {
-		return nil
-	}
-	if n > limit {
+	if rd.err == nil && n > limit {
 		rd.err = fmt.Errorf("%w: declared length %d exceeds limit %d", ErrTooLarge, n, limit)
-		return nil
 	}
+	if rd.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (rd *reader) bytes(limit uint64) []byte {
+	n := rd.length(limit)
 	if n == 0 {
 		return nil
 	}
@@ -118,14 +178,25 @@ func (rd *reader) bytes(limit uint64) []byte {
 	return b
 }
 
-func (rd *reader) str() string { return string(rd.bytes(1 << 20)) }
+// string reads through scratch, so the string is the only allocation.
+func (rd *reader) string() string {
+	n := rd.length(1 << 20)
+	if uint64(cap(rd.scratch)) < n {
+		rd.scratch = make([]byte, n)
+	}
+	rd.raw(rd.scratch[:n])
+	if rd.err != nil {
+		return ""
+	}
+	return string(rd.scratch[:n])
+}
 
 // maxBlob bounds any single serialized byte array, as a corruption guard.
 const maxBlob = 1 << 30
 
 // Write serializes the object module.
 func (o *Object) Write(w io.Writer) error {
-	cw := &countWriter{w: bufio.NewWriter(w)}
+	cw := newCountWriter(w)
 	cw.bytesRaw([]byte(objMagic))
 	cw.u32(version)
 	cw.str(o.Name)
@@ -161,24 +232,21 @@ func (o *Object) Write(w io.Writer) error {
 		cw.i64(r.Addend)
 		cw.u64(r.Extra)
 	}
-	if cw.err != nil {
-		return cw.err
-	}
-	return cw.w.Flush()
+	return cw.flush()
 }
 
 // Read deserializes an object module written by Write.
 func Read(r io.Reader) (*Object, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	rd.raw(magic[:])
-	if rd.err == nil && string(magic[:]) != objMagic {
-		return nil, fmt.Errorf("objfile: %w: bad magic %q", ErrBadMagic, magic[:])
+	rd := newReader(r)
+	magic := rd.word[:4]
+	rd.raw(magic)
+	if rd.err == nil && string(magic) != objMagic {
+		return nil, fmt.Errorf("objfile: %w: bad magic %q", ErrBadMagic, magic)
 	}
 	if v := rd.u32(); rd.err == nil && v != version {
 		return nil, fmt.Errorf("objfile: %w: unsupported version %d", ErrBadMagic, v)
 	}
-	o := New(rd.str())
+	o := New(rd.string())
 	for k := SectionKind(0); k < NumSections; k++ {
 		o.Sections[k].Size = rd.u64()
 		o.Sections[k].Data = rd.bytes(maxBlob)
@@ -187,9 +255,10 @@ func Read(r io.Reader) (*Object, error) {
 	if rd.err == nil && nsym > math.MaxInt32 {
 		return nil, fmt.Errorf("objfile: %w: symbol count %d", ErrTooLarge, nsym)
 	}
+	o.Symbols = make([]Symbol, 0, rd.prealloc(nsym, 43))
 	for i := uint64(0); i < nsym && rd.err == nil; i++ {
 		var sym Symbol
-		sym.Name = rd.str()
+		sym.Name = rd.string()
 		sym.Kind = SymbolKind(rd.u8())
 		sym.Section = SectionKind(rd.u8())
 		sym.Value = rd.u64()
@@ -205,6 +274,7 @@ func Read(r io.Reader) (*Object, error) {
 	if rd.err == nil && nrel > math.MaxInt32 {
 		return nil, fmt.Errorf("objfile: %w: reloc count %d", ErrTooLarge, nrel)
 	}
+	o.Relocs = make([]Reloc, 0, rd.prealloc(nrel, 30))
 	for i := uint64(0); i < nrel && rd.err == nil; i++ {
 		var rel Reloc
 		rel.Kind = RelocKind(rd.u8())

@@ -141,6 +141,21 @@ func sampleImage() *Image {
 	}
 }
 
+// sparseImage is a linked image's sparse data region: a segment that
+// stores nothing and carries a wide zero hole, then an adjacent segment with
+// the GAT and a zero tail.
+func sparseImage() *Image {
+	im := sampleImage()
+	im.Segments = []Segment{
+		im.Segments[0],
+		{Name: ".data", Addr: DataBase, ZeroSize: 0x2000},
+		{Name: ".data", Addr: DataBase + 0x2000, Data: make([]byte, 24), ZeroSize: 64},
+	}
+	im.Symbols[1].Addr = DataBase + 0x2008
+	im.GATs[0] = GATRange{Start: DataBase + 0x2000, End: DataBase + 0x2008, GP: DataBase + 0x2000 + 32752}
+	return im
+}
+
 func TestImageRoundTrip(t *testing.T) {
 	im := sampleImage()
 	if err := im.Validate(); err != nil {
@@ -149,6 +164,9 @@ func TestImageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := im.Write(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() != im.EncodedLen() {
+		t.Errorf("EncodedLen = %d, Write produced %d bytes", im.EncodedLen(), buf.Len())
 	}
 	back, err := ReadImage(&buf)
 	if err != nil {
@@ -196,6 +214,37 @@ func TestImageValidateErrors(t *testing.T) {
 	im.Segments = im.Segments[:0]
 	if err := im.Validate(); err == nil {
 		t.Error("expected no-segments error")
+	}
+}
+
+func TestImageValidateAdjacentSegments(t *testing.T) {
+	im := sparseImage()
+	if err := im.Validate(); err != nil {
+		t.Fatalf("adjacent segments rejected: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := im.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != im.EncodedLen() {
+		t.Errorf("EncodedLen = %d, Write produced %d bytes", im.EncodedLen(), buf.Len())
+	}
+	back, err := ReadImage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Segments) != 3 || back.Segments[2].Addr != back.Segments[1].End() {
+		t.Fatalf("sparse segments did not round-trip: %+v", back.Segments)
+	}
+	// A zero tail reaching one byte into the next segment overlaps it.
+	im.Segments[1].ZeroSize++
+	if err := im.Validate(); err == nil {
+		t.Error("overlapping zero tail accepted")
+	}
+	im = sparseImage()
+	im.Segments[2].Addr -= 8
+	if err := im.Validate(); err == nil {
+		t.Error("segment starting inside its predecessor accepted")
 	}
 }
 

@@ -28,13 +28,25 @@ func cloneProg(pg *Prog) *Prog {
 		}
 		np.Insts = make([]*SInst, len(pr.Insts))
 		backing := make([]SInst, len(pr.Insts))
+		nnotes := 0
+		for _, si := range pr.Insts {
+			if si.note != nil {
+				nnotes++
+			}
+		}
+		notes := make([]instNote, nnotes)
 		m := make(map[*SInst]*SInst, len(pr.Insts))
 		for j, si := range pr.Insts {
 			ns := &backing[j]
 			*ns = *si
-			// Labels are shared: every writer rebinds the field or appends
-			// into a fresh backing array, never into a shared one (emission
-			// carries its label moves in scratch, not on the instruction).
+			if si.note != nil {
+				// Labels are shared: every writer rebinds the field or
+				// appends into a fresh backing array, never into a shared
+				// one (emission carries its label moves in scratch, not on
+				// the instruction).
+				notes[0] = *si.note
+				ns.note, notes = &notes[0], notes[1:]
+			}
 			np.Insts[j] = ns
 			m[si] = ns
 		}
@@ -59,22 +71,24 @@ func cloneProg(pg *Prog) *Prog {
 				nu.Lit = m[si.Use.Lit]
 				ns.Use = &nu
 			}
-			if si.GPD != nil {
-				ng := *si.GPD
-				ng.Partner = m[si.GPD.Partner]
-				ng.AfterCall = m[si.GPD.AfterCall]
-				ns.GPD = &ng
+			if nn := ns.note; nn != nil {
+				if nn.gpd != nil {
+					ng := *nn.gpd
+					ng.Partner = m[ng.Partner]
+					ng.AfterCall = m[ng.AfterCall]
+					nn.gpd = &ng
+				}
+				if nn.gprel != nil {
+					ng := *nn.gprel
+					ng.HighPart = m[ng.HighPart]
+					nn.gprel = &ng
+				}
+				if nn.call != nil {
+					nc := *nn.call
+					nn.call = &nc
+				}
+				nn.pvLit = m[nn.pvLit]
 			}
-			if si.GPRel != nil {
-				ng := *si.GPRel
-				ng.HighPart = m[si.GPRel.HighPart]
-				ns.GPRel = &ng
-			}
-			if si.Call != nil {
-				nc := *si.Call
-				ns.Call = &nc
-			}
-			ns.PVLit = m[si.PVLit]
 		}
 		out.Procs[i] = np
 		procMap[pr] = np
@@ -82,8 +96,8 @@ func cloneProg(pg *Prog) *Prog {
 	}
 	for _, np := range out.Procs {
 		for _, si := range np.Insts {
-			if si.Call != nil {
-				si.Call.Target = procMap[si.Call.Target]
+			if si.Call() != nil {
+				si.Call().Target = procMap[si.Call().Target]
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package om
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/axp"
@@ -15,147 +16,158 @@ import (
 // from a memoized snapshot that concurrent Runs share — no defensive clone,
 // no races.
 
-// normalizeLabels computes the live instruction list and, in labs, the
-// label set addressing each live instruction: labels on deleted
-// instructions move onto the next live one. labs[i] belongs to live[i];
-// the procedure itself is never modified. Results are appended to the
-// passed-in buffers (emission scratch), reusing their capacity.
-func normalizeLabels(pr *Proc, live []*SInst, labs [][]int) ([]*SInst, [][]int, error) {
+// normalizeLabels appends the procedure's live instructions to sc.live
+// and, to sc.labs, the label set addressing each of them: labels on deleted
+// instructions move onto the next live one. The procedure itself is never
+// modified.
+func (sc *emitScratch) normalizeLabels(pr *Proc) error {
 	var pending []int
 	for _, si := range pr.Insts {
 		if si.Deleted {
-			pending = append(pending, si.Labels...)
+			pending = append(pending, si.Labels()...)
 			continue
 		}
-		l := si.Labels
+		l := si.Labels()
 		if len(pending) > 0 {
-			l = append(pending, si.Labels...)
+			l = append(pending, si.Labels()...)
 			pending = nil
 		}
-		live = append(live, si)
-		labs = append(labs, l)
+		sc.live = append(sc.live, si)
+		sc.labs = append(sc.labs, l)
 	}
 	if len(pending) > 0 {
-		return nil, nil, fmt.Errorf("om: %s: labels %v dangle past the last instruction", pr.Name, pending)
+		return fmt.Errorf("om: %s: labels %v dangle past the last instruction", pr.Name, pending)
 	}
-	return live, labs, nil
+	return nil
 }
 
-// rescheduleProc list-schedules each basic block of the live instruction
-// list, using the same latency model as the compile-time scheduler. A
-// GP-setup pair at procedure entry is pinned there: callers may be
-// branching to entry+8 to skip it.
-func rescheduleProc(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
-	pinned := 0
-	if len(live) >= 2 &&
-		live[0].GPD != nil && live[0].GPD.High && live[0].GPD.Entry &&
-		live[1].GPD != nil && live[1] == live[0].GPD.Partner {
-		pinned = 2
-	}
-	if pinned > 0 {
-		rest, restLabs := rescheduleBody(live[pinned:], labs[pinned:])
-		return append(live[:pinned:pinned], rest...), append(labs[:pinned:pinned], restLabs...)
-	}
-	return rescheduleBody(live, labs)
-}
-
-// rescheduleBody schedules without any pinned prefix.
-func rescheduleBody(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
-	isEnd := func(in axp.Inst) bool {
-		return in.Op.IsBranch() || in.Op.IsJump() || in.Op == axp.CALLPAL
-	}
-	out := make([]*SInst, 0, len(live))
-	outLabs := make([][]int, 0, len(live))
+// reschedule list-schedules each basic block of the procedure occupying
+// sc.live[from:] in place, using the same latency model as the
+// compile-time scheduler. A GP-setup pair at procedure entry is pinned
+// there: callers may be branching to entry+8 to skip it. Only a block's
+// first instruction can carry labels — a labeled instruction starts a new
+// block — and they keep addressing the block's first slot, so sc.labs
+// does not change.
+func (sc *emitScratch) reschedule(from int) {
+	live, labs := sc.live[from:], sc.labs[from:]
 	start := 0
+	if len(live) >= 2 &&
+		live[0].GPD() != nil && live[0].GPD().High && live[0].GPD().Entry &&
+		live[1].GPD() != nil && live[1] == live[0].GPD().Partner {
+		start = 2
+	}
 	flush := func(end int) {
-		if end > start {
+		if end-start > 1 {
 			seg := live[start:end]
-			raw := make([]axp.Inst, len(seg))
-			for i, si := range seg {
-				raw[i] = si.In
+			sc.raw = sc.raw[:0]
+			for _, si := range seg {
+				sc.raw = append(sc.raw, si.In)
 			}
-			order := axp.ScheduleOrder(raw)
-			scheduled := make([]*SInst, len(seg))
-			for pos, idx := range order {
-				scheduled[pos] = seg[idx]
-			}
-			out = append(out, scheduled...)
-			// Only seg[0] can carry labels — a labeled instruction forces a
-			// flush before itself — and they address the segment's first
-			// slot in the new order.
-			outLabs = append(outLabs, labs[start])
-			for i := 1; i < len(seg); i++ {
-				outLabs = append(outLabs, nil)
+			sc.order = sc.sched.Order(sc.raw, sc.order)
+			sc.tmpLive = append(sc.tmpLive[:0], seg...)
+			for pos, idx := range sc.order {
+				seg[pos] = sc.tmpLive[idx]
 			}
 		}
 		start = end
 	}
-	for i, si := range live {
+	for i := start; i < len(live); i++ {
+		in := live[i].In
 		if len(labs[i]) > 0 {
 			flush(i)
 		}
-		if isEnd(si.In) {
+		if in.Op.IsBranch() || in.Op.IsJump() || in.Op == axp.CALLPAL {
 			flush(i)
-			out = append(out, si)
-			outLabs = append(outLabs, labs[i])
 			start = i + 1
 		}
 	}
 	flush(len(live))
-	return out, outLabs
 }
 
-// alignLoopTargets inserts unops so that instructions targeted by backward
-// branches start on a quadword boundary (procedure bases are quadword
-// aligned). This is the OM-full alignment pass that helps the dual-issue
-// fetcher. Inserted padding carries ord -1: it is emission-local and has no
-// slot in the address scratch.
-func alignLoopTargets(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
+// alignPad is the unop alignLoopTargets inserts. Emission only reads
+// instructions, so every insertion shares it; its ord of -1 keeps it out
+// of the address scratch.
+var alignPad = SInst{In: axp.Unop(), Target: -1, ord: -1}
+
+// alignLoopTargets inserts unops into the procedure occupying sc.live[from:]
+// so that instructions targeted by backward branches start on a quadword
+// boundary (procedure bases are quadword aligned). This is the OM-full
+// alignment pass that helps the dual-issue fetcher.
+func (sc *emitScratch) alignLoopTargets(from int) {
+	live, labs := sc.live[from:], sc.labs[from:]
 	// Identify labels targeted by a later (backward) branch.
-	labelIdx := make(map[int]int)
-	for i := range live {
+	nlab := 0
+	for i := range labs {
 		for _, l := range labs[i] {
-			labelIdx[l] = i
+			nlab = max(nlab, l+1)
 		}
 	}
-	backward := make(map[int]bool)
+	if nlab == 0 {
+		return
+	}
+	sc.labelIdx = slices.Grow(sc.labelIdx[:0], nlab)[:nlab]
+	sc.backward = slices.Grow(sc.backward[:0], nlab)[:nlab]
+	clear(sc.backward)
+	for l := range sc.labelIdx {
+		sc.labelIdx[l] = -1
+	}
+	for i := range labs {
+		for _, l := range labs[i] {
+			sc.labelIdx[l] = i
+		}
+	}
+	found := false
 	for i, si := range live {
-		if si.Target >= 0 {
-			if ti, ok := labelIdx[si.Target]; ok && ti <= i {
-				backward[si.Target] = true
+		if t := si.Target; t >= 0 && t < nlab {
+			if ti := sc.labelIdx[t]; ti >= 0 && ti <= i {
+				sc.backward[t] = true
+				found = true
 			}
 		}
 	}
-	if len(backward) == 0 {
-		return live, labs
+	if !found {
+		return
 	}
-	out := make([]*SInst, 0, len(live)+8)
-	outLabs := make([][]int, 0, len(live)+8)
+	sc.tmpLive = append(sc.tmpLive[:0], live...)
+	sc.tmpLabs = append(sc.tmpLabs[:0], labs...)
+	sc.live, sc.labs = sc.live[:from], sc.labs[:from]
 	off := 0
-	for i, si := range live {
+	for i, si := range sc.tmpLive {
 		isTarget := false
-		for _, l := range labs[i] {
-			if backward[l] {
+		for _, l := range sc.tmpLabs[i] {
+			if sc.backward[l] {
 				isTarget = true
 			}
 		}
 		if isTarget && off%8 != 0 {
-			out = append(out, &SInst{In: axp.Unop(), Target: -1, ord: -1})
-			outLabs = append(outLabs, nil)
+			sc.live = append(sc.live, &alignPad)
+			sc.labs = append(sc.labs, nil)
 			off += 4
 		}
-		out = append(out, si)
-		outLabs = append(outLabs, labs[i])
+		sc.live = append(sc.live, si)
+		sc.labs = append(sc.labs, sc.tmpLabs[i])
 		off += 4
 	}
-	return out, outLabs
 }
 
 // emitScratch holds Emit's reusable working storage, pooled so a resident
-// daemon's warm relinks do not reallocate it per job.
+// daemon's warm relinks and a run of cold links do not reallocate it per
+// job.
 type emitScratch struct {
-	finals [][]*SInst
-	labs   [][][]int
+	// live holds every procedure's final instruction list, back to back,
+	// and labs the label set addressing each of those instructions; span[i]
+	// is procedure i's [start, end) range in both.
+	live []*SInst
+	labs [][]int
+	span [][2]int
+	// Working storage of reschedule and alignLoopTargets.
+	tmpLive  []*SInst
+	tmpLabs  [][]int
+	raw      []axp.Inst
+	order    []int
+	sched    axp.Scheduler
+	labelIdx []int
+	backward []bool
 	// addrs maps an instruction's ordinal (SInst.ord) to its final text
 	// address for this emission. 0 means "not part of the current emission"
 	// (all text bases are nonzero), which is how a GP reset anchored to a
@@ -186,16 +198,11 @@ var emitScratchPool = sync.Pool{
 // program) while keeping every backing array's capacity, and returns the
 // scratch to the pool.
 func (sc *emitScratch) release() {
-	for i := range sc.finals {
-		f := sc.finals[i][:cap(sc.finals[i])]
-		clear(f)
-		sc.finals[i] = f[:0]
-	}
-	for i := range sc.labs {
-		l := sc.labs[i][:cap(sc.labs[i])]
-		clear(l)
-		sc.labs[i] = l[:0]
-	}
+	clear(sc.live[:cap(sc.live)])
+	clear(sc.labs[:cap(sc.labs)])
+	clear(sc.tmpLive[:cap(sc.tmpLive)])
+	clear(sc.tmpLabs[:cap(sc.tmpLabs)])
+	sc.live, sc.labs, sc.span = sc.live[:0], sc.labs[:0], sc.span[:0]
 	clear(sc.procAddr)
 	clear(sc.labelAddr)
 	sc.gaps = sc.gaps[:0]
@@ -222,34 +229,25 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	clear(addrs)
 
 	// Finalize instruction lists and procedure addresses, per region.
-	if cap(sc.finals) < len(pg.Procs) {
-		sc.finals = make([][]*SInst, len(pg.Procs))
-	}
-	if cap(sc.labs) < len(pg.Procs) {
-		sc.labs = make([][][]int, len(pg.Procs))
-	}
-	finals := sc.finals[:len(pg.Procs)]
-	labsAll := sc.labs[:len(pg.Procs)]
 	procAddr := sc.procAddr
 	tcur := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
-	for i, pr := range pg.Procs {
-		live, labs, err := normalizeLabels(pr, finals[i][:0], labsAll[i][:0])
-		if err != nil {
+	for _, pr := range pg.Procs {
+		from := len(sc.live)
+		if err := sc.normalizeLabels(pr); err != nil {
 			return nil, err
 		}
 		if sched {
-			live, labs = rescheduleProc(live, labs)
-			live, labs = alignLoopTargets(live, labs)
+			sc.reschedule(from)
+			sc.alignLoopTargets(from)
 		}
-		finals[i] = live
-		labsAll[i] = labs
+		sc.span = append(sc.span, [2]int{from, len(sc.live)})
 		r := pl.regionOf(pr.Mod)
 		for tcur[r]%8 != 0 {
 			sc.gaps = append(sc.gaps, tcur[r])
 			tcur[r] += 4
 		}
 		procAddr[pr] = tcur[r]
-		for _, si := range live {
+		for _, si := range sc.live[from:] {
 			if si.ord >= 0 {
 				addrs[si.ord] = tcur[r]
 			}
@@ -281,8 +279,8 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	for pi, pr := range pg.Procs {
 		gp := int64(pl.GPOf(pr))
 		gatIdx := pl.GPGroup(pr)
-		live := finals[pi]
-		labs := labsAll[pi]
+		live := sc.live[sc.span[pi][0]:sc.span[pi][1]]
+		labs := sc.labs[sc.span[pi][0]:sc.span[pi][1]]
 		base := procAddr[pr]
 		clear(labelAddr)
 		for i := range live {
@@ -294,7 +292,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			in := si.In
 			addr := base + 4*uint64(idx)
 			switch {
-			case si.GPRel != nil:
+			case si.GPRel() != nil:
 				d, err := gprelDisp(pl, si, gp, procAddr)
 				if err != nil {
 					return nil, fmt.Errorf("om: %s at %#x: %w", pr.Name, addr, err)
@@ -310,8 +308,8 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 					return nil, fmt.Errorf("om: %s: GAT slot beyond GP reach", pr.Name)
 				}
 				in.Disp = int32(d)
-			case si.GPD != nil && !in.IsNop():
-				if si.GPD.High {
+			case si.GPD() != nil && !in.IsNop():
+				if si.GPD().High {
 					anchor, err := gpdAnchor(pr, si, addrs, procAddr)
 					if err != nil {
 						return nil, err
@@ -326,7 +324,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 					_ = lo
 				} else {
 					// Low half: recompute from the paired high.
-					hiInst := si.GPD.Partner
+					hiInst := si.GPD().Partner
 					anchor, err := gpdAnchor(pr, hiInst, addrs, procAddr)
 					if err != nil {
 						return nil, err
@@ -338,12 +336,12 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 					in.Disp = int32(lo)
 				}
 			}
-			if si.Call != nil && !si.Deleted {
-				target := procAddr[si.Call.Target] + si.Call.EntryOffset
+			if si.Call() != nil && !si.Deleted {
+				target := procAddr[si.Call().Target] + si.Call().EntryOffset
 				d, ok := axp.BranchDispTo(addr, target)
 				if !ok {
 					return nil, fmt.Errorf("om: %s: call at %#x cannot reach %s+%d",
-						pr.Name, addr, si.Call.Target.Name, si.Call.EntryOffset)
+						pr.Name, addr, si.Call().Target.Name, si.Call().EntryOffset)
 				}
 				in.Disp = d
 			} else if si.Target >= 0 {
@@ -365,70 +363,16 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 		}
 	}
 
-	// Data segments under the plan's placement, per region. Only the
-	// initialized extent — GATs plus the placed sdata/data sections — is
-	// materialized; everything past it (bss, sbss, commons placed at the
-	// tail) becomes the segment's ZeroSize, which the loader zero-fills.
-	// On a warm relink this is most of the data region, so the saving is
-	// what keeps the resident pipeline's allocation rate flat.
-	dataBases := [2]uint64{objfile.DataBase, objfile.SharedDataBase}
-	dataInit := dataBases
-	for g, slots := range pl.gat.Slots {
-		r := 0
-		if pl.gat.GATShared[g] {
-			r = 1
-		}
-		if end := pl.gatStart[g] + uint64(len(slots))*8; end > dataInit[r] {
-			dataInit[r] = end
-		}
-	}
-	for m, obj := range p.Objects {
-		r := pl.regionOf(m)
-		for _, sec := range []objfile.SectionKind{objfile.SecSData, objfile.SecData} {
-			if end := pl.secBase[m][sec] + obj.Sections[sec].Size; end > dataInit[r] {
-				dataInit[r] = end
-			}
-		}
-	}
-	for r := 0; r < 2; r++ {
-		dataInit[r] = (dataInit[r] + 7) &^ 7
-	}
-	blobs := [2][]byte{
-		make([]byte, dataInit[0]-objfile.DataBase),
-		make([]byte, dataInit[1]-objfile.SharedDataBase),
-	}
-	putQuad := func(addr uint64, v uint64) {
-		r := 0
-		if addr >= objfile.SharedDataBase {
-			r = 1
-		}
-		objfile.PutUint64(blobs[r], addr-dataBases[r], v)
-	}
-	addrOfKey := func(k link.TargetKey) (uint64, error) { return pl.addrOfKeyAt(k, procAddr) }
-	for g, slots := range pl.gat.Slots {
-		for i, k := range slots {
-			a, err := addrOfKey(k)
-			if err != nil {
-				return nil, err
-			}
-			putQuad(pl.gatStart[g]+uint64(i*8), a)
-		}
-	}
-	for m, obj := range p.Objects {
-		region := pl.regionOf(m)
-		for _, sec := range []objfile.SectionKind{objfile.SecSData, objfile.SecData} {
-			copy(blobs[region][pl.secBase[m][sec]-dataBases[region]:], obj.Sections[sec].Data)
-		}
-		for _, r := range obj.Relocs {
-			if r.Kind != objfile.RRefQuad || r.Section == objfile.SecLita {
-				continue
-			}
-			a, err := addrOfKey(link.Key(p.Resolve(m, r.Symbol), r.Addend))
-			if err != nil {
-				return nil, err
-			}
-			putQuad(pl.secBase[m][r.Section]+r.Offset, a)
-		}
+	// Sparse data segments under the plan's placement, per region. OM's
+	// placement puts the sorted commons, some of them large, between the
+	// GATs and the initialized small data, so one zero tail per region
+	// would still materialize them; link.DataSegments stores only the
+	// initialized runs and carries every wide hole as a zero tail.
+	dataSegs, err := p.DataSegments(&link.DataPlacement{
+		GAT: pl.gat, GATStart: pl.gatStart, SecBase: pl.secBase, End: pl.dataEnd,
+	}, func(k link.TargetKey) (uint64, error) { return pl.addrOfKeyAt(k, procAddr) })
+	if err != nil {
+		return nil, err
 	}
 
 	// Image assembly.
@@ -445,23 +389,19 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	}
 	im := &objfile.Image{
 		Entry: entryAddr,
-		Segments: []objfile.Segment{
+		Segments: append([]objfile.Segment{
 			{Name: ".text", Addr: objfile.TextBase, Data: texts[0]},
-			{Name: ".data", Addr: objfile.DataBase, Data: blobs[0],
-				ZeroSize: pl.dataEnd[0] - dataInit[0]},
-		},
+		}, dataSegs[0]...),
 	}
 	if len(texts[1]) > 0 || pl.dataEnd[1] > objfile.SharedDataBase {
 		im.Segments = append(im.Segments,
-			objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]},
-			objfile.Segment{Name: ".data.so", Addr: objfile.SharedDataBase, Data: blobs[1],
-				ZeroSize: pl.dataEnd[1] - dataInit[1]},
-		)
+			objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]})
+		im.Segments = append(im.Segments, dataSegs[1]...)
 	}
 	for pi, pr := range pg.Procs {
 		im.Symbols = append(im.Symbols, objfile.ImageSymbol{
 			Name: pr.Name, Addr: procAddr[pr],
-			Size: uint64(len(finals[pi])) * 4, Kind: objfile.SymProc,
+			Size: uint64(sc.span[pi][1]-sc.span[pi][0]) * 4, Kind: objfile.SymProc,
 			GP: pl.GPOf(pr),
 		})
 	}
@@ -498,7 +438,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 
 // gprelDisp computes the final displacement of a GP-relative rewrite.
 func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr map[*Proc]uint64) (int32, error) {
-	g := si.GPRel
+	g := si.GPRel()
 	addr, err := pl.addrOfKeyAt(g.Key, procAddr)
 	if err != nil {
 		return 0, err
@@ -518,7 +458,7 @@ func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr map[*Proc]uint64) (int32,
 		}
 		return int32(hi), nil
 	case GPRelUseLow:
-		haddr, err := pl.addrOfKeyAt(g.HighPart.GPRel.Key, procAddr)
+		haddr, err := pl.addrOfKeyAt(g.HighPart.GPRel().Key, procAddr)
 		if err != nil {
 			return 0, err
 		}
@@ -538,10 +478,10 @@ func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr map[*Proc]uint64) (int32,
 // gpdAnchor computes the address held in the base register of a GP pair,
 // reading the emission's ordinal-indexed address scratch.
 func gpdAnchor(pr *Proc, hi *SInst, addrs []uint64, procAddr map[*Proc]uint64) (uint64, error) {
-	if hi.GPD.Entry {
+	if hi.GPD().Entry {
 		return procAddr[pr], nil
 	}
-	call := hi.GPD.AfterCall
+	call := hi.GPD().AfterCall
 	if call == nil || call.ord < 0 || int(call.ord) >= len(addrs) || addrs[call.ord] == 0 {
 		return 0, fmt.Errorf("om: %s: GP reset anchored to a removed call", pr.Name)
 	}

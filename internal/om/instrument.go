@@ -50,8 +50,8 @@ func Instrument(pg *Prog) ([]BlockInfo, error) {
 		insts := pr.Insts
 		start := 0
 		if len(insts) >= 2 &&
-			insts[0].GPD != nil && insts[0].GPD.High && insts[0].GPD.Entry &&
-			insts[1].GPD != nil && insts[1] == insts[0].GPD.Partner {
+			insts[0].GPD() != nil && insts[0].GPD().High && insts[0].GPD().Entry &&
+			insts[1].GPD() != nil && insts[1] == insts[0].GPD().Partner {
 			out = append(out, insts[0], insts[1])
 			start = 2
 		}
@@ -64,15 +64,15 @@ func Instrument(pg *Prog) ([]BlockInfo, error) {
 		prevEndsBlock := false
 		for i := start; i < len(insts); i++ {
 			si := insts[i]
-			leader := prevEndsBlock || len(si.Labels) > 0
+			leader := prevEndsBlock || len(si.Labels()) > 0
 			if leader {
 				tr := trap()
 				if tr == nil {
 					return nil, fmt.Errorf("om: instrument: more than %d blocks", axp.PalProfileIDMask)
 				}
 				// Branch targets must hit the counter: move the labels.
-				tr.Labels = si.Labels
-				si.Labels = nil
+				tr.SetLabels(si.Labels())
+				si.SetLabels(nil)
 				out = append(out, tr)
 			}
 			out = append(out, si)

@@ -107,8 +107,8 @@ func buildJournal(pg *Prog, pl *Plan, cfg config, stats *Stats, lay *layoutResul
 	pvLits := make(map[*SInst]bool)
 	for _, pr := range pg.Procs {
 		for _, si := range pr.Insts {
-			if si.PVLit != nil {
-				pvLits[si.PVLit] = true
+			if si.PVLit() != nil {
+				pvLits[si.PVLit()] = true
 			}
 		}
 	}
@@ -130,12 +130,12 @@ func buildJournal(pg *Prog, pl *Plan, cfg config, stats *Stats, lay *layoutResul
 					Reason: classifyCall(pg, pl, cfg, pr, si, lay),
 				})
 			}
-			if si.GPD != nil && si.GPD.High && !si.GPD.Entry {
+			if si.GPD() != nil && si.GPD().High && !si.GPD().Entry {
 				// Record the callee when it is known: the translation
 				// validator checks an elided reset's callee shares the
 				// caller's GP (and a kept different-gat one does not).
 				target := ""
-				if callee := resetCallee(pg, si.GPD.AfterCall); callee != nil {
+				if callee := resetCallee(pg, si.GPD().AfterCall); callee != nil {
 					target = callee.Name
 				}
 				d.Events = append(d.Events, obs.Event{
@@ -175,7 +175,7 @@ func classifyAddr(pg *Prog, pl *Plan, cfg config, pr *Proc, si *SInst, pvLits ma
 	case lit.Nullified:
 		return ReasonAddrNullified
 	case lit.Converted:
-		if si.GPRel != nil && si.GPRel.Kind == GPRelLDAH {
+		if si.GPRel() != nil && si.GPRel().Kind == GPRelLDAH {
 			return ReasonAddrConvertedLDAH
 		}
 		return ReasonAddrConvertedLDA
@@ -246,8 +246,8 @@ func addrDetail(pl *Plan, pr *Proc, si *SInst) string {
 
 func callTarget(pg *Prog, si *SInst) string {
 	switch {
-	case si.Call != nil:
-		return si.Call.Target.Name
+	case si.Call() != nil:
+		return si.Call().Target.Name
 	case si.Use != nil && si.Use.JSR:
 		return keyName(si.Use.Lit.Lit.Key)
 	}
@@ -262,13 +262,13 @@ func classifyCall(pg *Prog, pl *Plan, cfg config, pr *Proc, si *SInst, lay *layo
 	if lay != nil && lay.reverted[si] {
 		return ReasonCallKeptLayout
 	}
-	if si.Call != nil {
+	if si.Call() != nil {
 		switch {
-		case !si.Call.FromJSR:
+		case !si.Call().FromJSR:
 			return ReasonCallDirect
-		case si.Call.EntryOffset == 8:
+		case si.Call().EntryOffset == 8:
 			return ReasonCallConvertedSkip
-		case si.Call.Target.PrologueDeleted:
+		case si.Call().Target.PrologueDeleted:
 			return ReasonCallConvertedNoProl
 		}
 		return ReasonCallConverted
@@ -307,7 +307,7 @@ func classifyReset(pg *Prog, pl *Plan, cfg config, pr *Proc, si *SInst) string {
 		return ReasonResetKeptDisabled
 	}
 	if len(pl.gat.Slots) > 1 {
-		callee := resetCallee(pg, si.GPD.AfterCall)
+		callee := resetCallee(pg, si.GPD().AfterCall)
 		if callee == nil {
 			return ReasonResetKeptUnknown
 		}

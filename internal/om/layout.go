@@ -124,12 +124,12 @@ func applyLayout(pg *Prog, pl *Plan, prof *profile.Profile, full, sched bool) (*
 			return nil, nil, fmt.Errorf("om: layout: branch-range fixpoint did not converge")
 		}
 		for _, fc := range far {
-			if fc.si.Call == nil || !fc.si.Call.FromJSR {
+			if fc.si.Call() == nil || !fc.si.Call().FromJSR {
 				return nil, nil, fmt.Errorf(
 					"om: layout: %s: compiler-direct call to %s cannot reach after reordering",
-					fc.pr.Name, fc.si.Call.Target.Name)
+					fc.pr.Name, fc.si.Call().Target.Name)
 			}
-			callee := fc.si.Call.Target.Name
+			callee := fc.si.Call().Target.Name
 			if err := revertCall(fc.si, full); err != nil {
 				return nil, nil, err
 			}
@@ -160,11 +160,13 @@ func collectFarCalls(pg *Prog, pl *Plan, sched bool) []farCall {
 	size := make(map[*Proc]uint64, len(pg.Procs))
 	tcur := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
 	for _, pr := range pg.Procs {
-		live := pr.Live()
-		words := uint64(len(live))
-		if sched {
-			for _, si := range live {
-				words += uint64(len(si.Labels))
+		words := uint64(0)
+		for _, si := range pr.Insts {
+			if !si.Deleted {
+				words++
+				if sched {
+					words += uint64(len(si.Labels()))
+				}
 			}
 		}
 		r := pl.regionOf(pr.Mod)
@@ -181,10 +183,10 @@ func collectFarCalls(pg *Prog, pl *Plan, sched bool) []farCall {
 			last = first + (size[pr]-1)*4
 		}
 		for _, si := range pr.Insts {
-			if si.Deleted || si.Call == nil {
+			if si.Deleted || si.Call() == nil {
 				continue
 			}
-			tgt := est[si.Call.Target] + si.Call.EntryOffset
+			tgt := est[si.Call().Target] + si.Call().EntryOffset
 			if _, ok := axp.BranchDispTo(first, tgt); !ok {
 				out = append(out, farCall{pr, si})
 				continue
@@ -203,14 +205,14 @@ func collectFarCalls(pg *Prog, pl *Plan, sched bool) []farCall {
 // the callee's address from the GAT, and the callee's entry behavior
 // (prologue present or deleted) is unchanged from what the bsr targeted.
 func revertCall(si *SInst, full bool) error {
-	lit := si.PVLit
+	lit := si.PVLit()
 	if lit == nil || lit.Lit == nil {
 		return fmt.Errorf("om: layout: cannot revert call to %s: no PV literal",
-			si.Call.Target.Name)
+			si.Call().Target.Name)
 	}
-	si.In = si.Call.origJSR
-	origPV := si.Call.origPV
-	si.Call = nil
+	si.In = si.Call().origJSR
+	origPV := si.Call().origPV
+	si.SetCall(nil)
 	si.Use = &UseInfo{Lit: lit, JSR: true}
 	lit.Lit.Uses = append(lit.Lit.Uses, si)
 	if lit.Lit.Nullified {

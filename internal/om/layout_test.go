@@ -179,7 +179,7 @@ func TestLayoutRevert(t *testing.T) {
 	reverted := 0
 	for _, pr := range pg.Procs {
 		for _, si := range pr.Insts {
-			if si.Deleted || si.Call == nil || !si.Call.FromJSR {
+			if si.Deleted || si.Call() == nil || !si.Call().FromJSR {
 				continue
 			}
 			if err := revertCall(si, true); err != nil {

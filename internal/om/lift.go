@@ -15,6 +15,7 @@ package om
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,36 +24,13 @@ import (
 	"repro/internal/objfile"
 )
 
-// SInst is one instruction in OM's symbolic form.
+// SInst is one instruction in OM's symbolic form. A program holds one per
+// instruction, lifted into a slab per procedure on every cold link, so the
+// fields every pass reads stay on the struct and the annotations few
+// instructions carry — labels, GP pairs, direct calls, GP-relative
+// rewrites and PV loads — live in a note reached through accessors.
 type SInst struct {
 	In axp.Inst
-
-	// Labels are intra-procedure labels attached to this instruction.
-	Labels []int
-	// Target is the label a branch jumps to, or -1.
-	Target int
-
-	// Lit marks an address load from the GAT.
-	Lit *LitInfo
-	// Use links a memory access or jsr to its address load.
-	Use *UseInfo
-	// GPD marks half of a GP-establishing pair.
-	GPD *GPDInfo
-	// Call marks a direct call/branch to another procedure.
-	Call *CallInfo
-	// GPRel marks an instruction rewritten to address data GP-relatively;
-	// its displacement is recomputed from the final layout at emission.
-	GPRel *GPRelInfo
-
-	// Deleted marks instructions removed by OM-full; they are skipped at
-	// emission. OM-simple instead overwrites In with a no-op.
-	Deleted bool
-
-	// PVLit records, for a direct jsr call site, the address load that
-	// materializes PV (for statistics after the Use link is dissolved).
-	PVLit *SInst
-	// Indirect marks a call through a procedure variable.
-	Indirect bool
 
 	// ord is the instruction's dense program-wide ordinal, assigned by
 	// Prog.renumber. Emit indexes its pooled address scratch with it, which
@@ -60,6 +38,88 @@ type SInst struct {
 	// concurrent Runs replay one memoized snapshot without cloning it.
 	// Instructions Emit fabricates itself (alignment padding) carry -1.
 	ord int32
+
+	// Deleted marks instructions removed by OM-full; they are skipped at
+	// emission. OM-simple instead overwrites In with a no-op.
+	Deleted bool
+	// Indirect marks a call through a procedure variable.
+	Indirect bool
+
+	// Target is the label a branch jumps to, or -1.
+	Target int
+
+	// Lit marks an address load from the GAT.
+	Lit *LitInfo
+	// Use links a memory access or jsr to its address load.
+	Use *UseInfo
+
+	note *instNote
+}
+
+// instNote holds an instruction's rarely set annotations; nil means none.
+type instNote struct {
+	labels []int
+	gpd    *GPDInfo
+	call   *CallInfo
+	gprel  *GPRelInfo
+	pvLit  *SInst
+}
+
+// noNote is what an instruction without a note reads. Nothing writes it:
+// every write goes through edit, which gives the instruction its own note.
+var noNote instNote
+
+func (si *SInst) notes() *instNote {
+	if si.note == nil {
+		return &noNote
+	}
+	return si.note
+}
+
+// edit returns the instruction's note for writing, creating it.
+func (si *SInst) edit() *instNote {
+	if si.note == nil {
+		si.note = &instNote{}
+	}
+	return si.note
+}
+
+// Labels are the intra-procedure labels attached to the instruction.
+func (si *SInst) Labels() []int { return si.notes().labels }
+
+// GPD marks half of a GP-establishing pair.
+func (si *SInst) GPD() *GPDInfo { return si.notes().gpd }
+
+// Call marks a direct call/branch to another procedure.
+func (si *SInst) Call() *CallInfo { return si.notes().call }
+
+// GPRel marks an instruction rewritten to address data GP-relatively; its
+// displacement is recomputed from the final layout at emission.
+func (si *SInst) GPRel() *GPRelInfo { return si.notes().gprel }
+
+// PVLit records, for a direct jsr call site, the address load that
+// materializes PV (for statistics after the Use link is dissolved).
+func (si *SInst) PVLit() *SInst { return si.notes().pvLit }
+
+// SetLabels replaces the instruction's labels.
+func (si *SInst) SetLabels(l []int) {
+	if l != nil || si.note != nil {
+		si.edit().labels = l
+	}
+}
+
+// SetCall sets the instruction's direct-call annotation.
+func (si *SInst) SetCall(c *CallInfo) {
+	if c != nil || si.note != nil {
+		si.edit().call = c
+	}
+}
+
+// SetGPRel sets the instruction's GP-relative rewrite.
+func (si *SInst) SetGPRel(g *GPRelInfo) {
+	if g != nil || si.note != nil {
+		si.edit().gprel = g
+	}
 }
 
 // LitInfo describes an address load: ldq rX, slot(gp).
@@ -291,7 +351,7 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 		if tp == nil {
 			return nil, fmt.Errorf("om: lift: call to unknown procedure %s", pc.target.Name)
 		}
-		pc.inst.Call = &CallInfo{Target: tp, EntryOffset: uint64(pc.addend)}
+		pc.inst.SetCall(&CallInfo{Target: tp, EntryOffset: uint64(pc.addend)})
 	}
 
 	// Data-section address-taken procedures (function-pointer tables in
@@ -317,16 +377,17 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, error) {
 	lm := &liftedModule{}
 	text := obj.Sections[objfile.SecText].Data
-	insts, err := axp.DecodeAll(text)
-	if err != nil {
-		return nil, fmt.Errorf("om: lift %s: %w", obj.Name, err)
+	if len(text)%axp.WordBytes != 0 {
+		return nil, fmt.Errorf("om: lift %s: code length %d not a multiple of 4", obj.Name, len(text))
 	}
-	// Index relocations by offset.
+	// Index relocations by offset. noted lists the offsets of instructions
+	// a relocation gives a note, so each procedure can size its note slab.
 	litAt := make(map[uint64]*objfile.Reloc)
 	useAt := make(map[uint64]*objfile.Reloc)
 	gpdAt := make(map[uint64]*objfile.Reloc)
 	brAt := make(map[uint64]*objfile.Reloc)
 	gprAt := make(map[uint64]*objfile.Reloc)
+	var noted []uint64
 	for i := range obj.Relocs {
 		r := &obj.Relocs[i]
 		if r.Section != objfile.SecText {
@@ -337,14 +398,22 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			litAt[r.Offset] = r
 		case objfile.RLituseBase, objfile.RLituseJSR:
 			useAt[r.Offset] = r
+			if r.Kind == objfile.RLituseJSR {
+				noted = append(noted, r.Offset)
+			}
 		case objfile.RGPDisp:
 			gpdAt[r.Offset] = r
+			noted = append(noted, r.Offset, r.Extra)
 		case objfile.RBrAddr:
 			brAt[r.Offset] = r
+			noted = append(noted, r.Offset)
 		case objfile.RGPRel16:
 			gprAt[r.Offset] = r
+			noted = append(noted, r.Offset)
 		}
 	}
+	slices.Sort(noted)
+	var labelOf []int // per instruction of the current procedure: its label, or -1
 
 	// Procedures of this module in address order.
 	var procSyms []int32
@@ -370,22 +439,36 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 		}
 		covered = sym.End
 
+		if sym.End < sym.Value || sym.End > uint64(len(text)) {
+			return nil, fmt.Errorf("om: lift %s: procedure %s (%#x..%#x) outside the text",
+				obj.Name, sym.Name, sym.Value, sym.End)
+		}
+
 		pr := &Proc{Mod: m, Sym: s, Name: sym.Name, Exported: sym.Exported}
 		base := sym.Value
 		n := int((sym.End - sym.Value) / 4)
-		// One contiguous slab per procedure: emission walks the
-		// instructions of resident memoized forms on every warm relink,
-		// and the collector rescans them on every cycle, so locality and
-		// object count matter more than in a one-shot link.
+		// One contiguous slab per procedure, decoded in place: emission
+		// walks the instructions of resident memoized forms on every warm
+		// relink, and the collector rescans them on every cycle, so
+		// locality and object count matter more than in a one-shot link.
 		pr.Insts = make([]*SInst, n)
 		backing := make([]SInst, n)
 		for i := 0; i < n; i++ {
-			backing[i] = SInst{In: insts[int(base/4)+i], Target: -1}
+			off := base + uint64(i*4)
+			in, err := axp.Decode(objfile.Uint32At(text, off))
+			if err != nil {
+				return nil, fmt.Errorf("om: lift %s: at offset %#x: %w", obj.Name, off, err)
+			}
+			backing[i] = SInst{In: in, Target: -1}
 			pr.Insts[i] = &backing[i]
 		}
 
 		// Pass 1: labels for intra-procedure branch targets.
-		labelAt := make(map[int]int)
+		labelOf = slices.Grow(labelOf[:0], n)[:n]
+		for i := range labelOf {
+			labelOf[i] = -1
+		}
+		nlabels := 0
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
 			if !si.In.Op.IsBranch() {
@@ -400,13 +483,33 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 				return nil, fmt.Errorf("om: lift %s: %s branch at +%#x leaves the procedure",
 					obj.Name, sym.Name, off-base)
 			}
-			l, ok := labelAt[int(ti)]
-			if !ok {
+			l := labelOf[ti]
+			if l < 0 {
 				l = pr.NewLabel()
-				labelAt[int(ti)] = l
-				pr.Insts[ti].Labels = append(pr.Insts[ti].Labels, l)
+				labelOf[ti] = l
+				nlabels++
 			}
 			si.Target = l
+		}
+
+		// Notes come from one slab per procedure, sized for every labeled
+		// instruction and every relocation that annotates one.
+		first, _ := slices.BinarySearch(noted, base)
+		past, _ := slices.BinarySearch(noted, sym.End)
+		notes := make([]instNote, nlabels+past-first)
+		note := func(si *SInst) *instNote {
+			if si.note == nil && len(notes) > 0 {
+				si.note, notes = &notes[0], notes[1:]
+			}
+			return si.edit()
+		}
+		labels := make([]int, nlabels)
+		for i, l := range labelOf {
+			if l >= 0 {
+				labels[0] = l
+				note(pr.Insts[i]).labels = labels[:1:1]
+				labels = labels[1:]
+			}
 		}
 
 		// Pass 2: relocation annotations.
@@ -425,7 +528,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			if r, ok := gprAt[off]; ok {
 				// Optimistically compiled GP-relative reference: already
 				// in OM's target form; re-anchor it to the final layout.
-				si.GPRel = &GPRelInfo{
+				note(si).gprel = &GPRelInfo{
 					Kind:  GPRelUseDirect,
 					Key:   link.Key(p.Resolve(m, r.Symbol), 0),
 					Extra: r.Addend,
@@ -440,7 +543,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 				si.Use = &UseInfo{Lit: lit, JSR: r.Kind == objfile.RLituseJSR}
 				lit.Lit.Uses = append(lit.Lit.Uses, si)
 				if si.Use.JSR {
-					si.PVLit = lit
+					note(si).pvLit = lit
 				}
 			}
 			if si.In.Op == axp.JSR && si.Use == nil {
@@ -464,10 +567,11 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 					}
 					g.AfterCall = call
 				}
-				hi.GPD = g
-				lo.GPD = &GPDInfo{Partner: hi}
+				note(hi).gpd = g
+				note(lo).gpd = &GPDInfo{Partner: hi}
 			}
 			if r, ok := brAt[off]; ok {
+				note(si) // lift sets the call once every procedure exists
 				lm.pending = append(lm.pending, pendingCall{
 					inst: si, target: p.Resolve(m, r.Symbol), addend: r.Addend,
 				})

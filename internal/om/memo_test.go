@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/spec"
 	"repro/internal/tcc"
 )
 
@@ -301,8 +303,8 @@ func TestCloneProgIsolation(t *testing.T) {
 	// The clone's cross-procedure links point into the clone, not the source.
 	for pi, pr := range clone.Procs {
 		for _, si := range pr.Insts {
-			if si.Call != nil && si.Call.Target != nil {
-				if clone.procByDef[[2]int32{int32(si.Call.Target.Mod), si.Call.Target.Sym}] != si.Call.Target {
+			if si.Call() != nil && si.Call().Target != nil {
+				if clone.procByDef[[2]int32{int32(si.Call().Target.Mod), si.Call().Target.Sym}] != si.Call().Target {
 					t.Fatalf("proc %d: call target escapes the clone", pi)
 				}
 			}
@@ -353,5 +355,45 @@ func TestWarmReplayAllocsConstant(t *testing.T) {
 	if diff := bigAllocs - small; diff > 16 || diff < -16 {
 		t.Errorf("warm replay allocations scale with program size: %.0f (small) vs %.0f (big)",
 			small, bigAllocs)
+	}
+}
+
+// TestWarmReplayBytesPerOp pins the warm replay's allocated bytes beside
+// its object count: a resident same-options relink of li allocates its
+// image's initialized bytes and a fixed amount of bookkeeping. li's data
+// region is 768 KiB, nearly all of it zero-filled commons; a data segment
+// that stored them again would break the bound by an order of magnitude.
+func TestWarmReplayBytesPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation figures are not meaningful")
+	}
+	bench, ok := spec.ByName("li")
+	if !ok {
+		t.Fatal("no benchmark li")
+	}
+	p := buildProgram(t, bench.Modules)
+	ctx := context.Background()
+	opts := []Option{WithLevel(LevelFull), WithMemo(NewMemo(nil))}
+	// First Run stores the snapshot, second settles the pools.
+	for i := 0; i < 2; i++ {
+		if _, err := Run(ctx, p, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Measure on one P, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Run(ctx, p, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 64<<10 {
+		t.Errorf("warm replay of li allocates %d bytes per relink, want under 64 KiB", perOp)
+	} else {
+		t.Logf("warm replay of li allocates %d bytes per relink", perOp)
 	}
 }

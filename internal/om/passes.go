@@ -59,8 +59,8 @@ func applyCallOpts(pg *Prog, pl *Plan, full bool) bool {
 				// the callee's pair executes and computes GP from PV.
 				needPV = true
 			}
-			si.Call = &CallInfo{Target: callee, EntryOffset: entryOff, FromJSR: true,
-				origJSR: si.In, origPV: lit.In}
+			si.SetCall(&CallInfo{Target: callee, EntryOffset: entryOff, FromJSR: true,
+				origJSR: si.In, origPV: lit.In})
 			si.In = axp.BranchInst(axp.BSR, axp.RA, 0)
 			si.Use = nil
 			for i, u := range lit.Lit.Uses {
@@ -85,15 +85,15 @@ func applyCallOpts(pg *Prog, pl *Plan, full bool) bool {
 func normalizeLocalEntries(pg *Prog) {
 	for _, pr := range pg.Procs {
 		for _, si := range pr.Insts {
-			if si.Deleted || si.Call == nil {
+			if si.Deleted || si.Call() == nil {
 				continue
 			}
-			callee := si.Call.Target
+			callee := si.Call().Target
 			switch {
 			case callee.PrologueDeleted:
-				si.Call.EntryOffset = 0
-			case si.Call.EntryOffset == 8 && !callee.PairAtEntry:
-				si.Call.EntryOffset = 0
+				si.Call().EntryOffset = 0
+			case si.Call().EntryOffset == 8 && !callee.PairAtEntry:
+				si.Call().EntryOffset = 0
 			}
 		}
 	}
@@ -131,7 +131,7 @@ func applyPrologueOpts(pg *Prog, pl *Plan) bool {
 			continue
 		}
 		hi.Deleted = true
-		hi.GPD.Partner.Deleted = true
+		hi.GPD().Partner.Deleted = true
 		pr.PrologueDeleted = true
 		pr.PairAtEntry = false
 		changed = true
@@ -146,10 +146,10 @@ func applyPrologueOpts(pg *Prog, pl *Plan) bool {
 // skips the callee's GP setup (and therefore passes its own GP along).
 func hasGPReliantCalls(pr *Proc) bool {
 	for _, si := range pr.Insts {
-		if si.Deleted || si.Call == nil {
+		if si.Deleted || si.Call() == nil {
 			continue
 		}
-		if si.Call.EntryOffset == 8 || si.Call.Target.PrologueDeleted {
+		if si.Call().EntryOffset == 8 || si.Call().Target.PrologueDeleted {
 			return true
 		}
 	}

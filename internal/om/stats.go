@@ -89,7 +89,7 @@ func isCallSite(si *SInst) bool {
 	if si.In.Op == axp.JSR {
 		return true
 	}
-	return si.In.Op == axp.BSR && si.Call != nil
+	return si.In.Op == axp.BSR && si.Call() != nil
 }
 
 // collectBefore fills the pre-optimization counters from the lifted form.
@@ -108,7 +108,7 @@ func collectBefore(pg *Prog, s *Stats) {
 			if si.Indirect {
 				s.IndirectCalls++
 			}
-			if si.Indirect || si.PVLit != nil {
+			if si.Indirect || si.PVLit() != nil {
 				s.PVBefore++
 			}
 			if si.In.Op == axp.JSR {
@@ -164,10 +164,10 @@ func pvStillNeeded(si *SInst) bool {
 	if si.Indirect {
 		return true
 	}
-	if si.PVLit == nil {
+	if si.PVLit() == nil {
 		return false
 	}
-	lit := si.PVLit
+	lit := si.PVLit()
 	return !lit.Deleted && !lit.In.IsNop() && lit.Lit != nil && !lit.Lit.Nullified
 }
 
@@ -176,11 +176,11 @@ func pvStillNeeded(si *SInst) bool {
 func liveResetIndex(pr *Proc) map[*SInst]bool {
 	m := make(map[*SInst]bool)
 	for _, si := range pr.Insts {
-		if si.Deleted || si.GPD == nil || !si.GPD.High || si.GPD.Entry {
+		if si.Deleted || si.GPD() == nil || !si.GPD().High || si.GPD().Entry {
 			continue
 		}
 		if !si.In.IsNop() {
-			m[si.GPD.AfterCall] = true
+			m[si.GPD().AfterCall] = true
 		}
 	}
 	return m

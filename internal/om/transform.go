@@ -13,11 +13,13 @@ func nullifyInst(si *SInst, full bool) {
 	if full {
 		si.Deleted = true
 	} else {
-		keep := SInst{In: axp.Nop(), Labels: si.Labels, Target: -1}
-		lit, gpd, use := si.Lit, si.GPD, si.Use
-		*si = keep
-		// Preserve bookkeeping for statistics.
-		si.Lit, si.GPD, si.Use = lit, gpd, use
+		// Keep the labels, and the bookkeeping statistics read; drop every
+		// other annotation.
+		note := si.note
+		if note != nil {
+			*note = instNote{labels: note.labels, gpd: note.gpd}
+		}
+		*si = SInst{In: axp.Nop(), Target: -1, Lit: si.Lit, Use: si.Use, note: note}
 	}
 }
 
@@ -89,7 +91,7 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 				}
 				if ok {
 					for _, u := range uses {
-						u.GPRel = &GPRelInfo{Kind: GPRelUseDirect, Key: key, Extra: int64(u.In.Disp)}
+						u.SetGPRel(&GPRelInfo{Kind: GPRelUseDirect, Key: key, Extra: int64(u.In.Disp)})
 						u.In.Rb = axp.GP
 						u.Use = nil
 					}
@@ -115,11 +117,11 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 					if ok {
 						dst := si.In.Ra
 						si.In = axp.MemInst(axp.LDAH, dst, axp.GP, int32(hi))
-						si.GPRel = &GPRelInfo{Kind: GPRelLDAH, Key: key}
+						si.SetGPRel(&GPRelInfo{Kind: GPRelLDAH, Key: key})
 						si.Lit.Converted = true
 						for _, u := range uses {
-							u.GPRel = &GPRelInfo{Kind: GPRelUseLow, Key: key,
-								Extra: int64(u.In.Disp), HighPart: si}
+							u.SetGPRel(&GPRelInfo{Kind: GPRelUseLow, Key: key,
+								Extra: int64(u.In.Disp), HighPart: si})
 							u.Use = nil
 						}
 						changed = true
@@ -132,7 +134,7 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 			if fits16(delta) {
 				dst := si.In.Ra
 				si.In = axp.MemInst(axp.LDA, dst, axp.GP, int32(delta))
-				si.GPRel = &GPRelInfo{Kind: GPRelLDA, Key: key}
+				si.SetGPRel(&GPRelInfo{Kind: GPRelLDA, Key: key})
 				si.Lit.Converted = true
 				changed = true
 				continue
@@ -145,13 +147,10 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 				if _, _, err := link.SplitGPDisp(delta); err == nil {
 					dst := si.In.Ra
 					si.In = axp.MemInst(axp.LDAH, dst, axp.GP, 0)
-					si.GPRel = &GPRelInfo{Kind: GPRelLDAH, Key: key}
+					si.SetGPRel(&GPRelInfo{Kind: GPRelLDAH, Key: key})
 					si.Lit.Converted = true
-					low := &SInst{
-						In:     axp.MemInst(axp.LDA, dst, dst, 0),
-						Target: -1,
-						GPRel:  &GPRelInfo{Kind: GPRelUseLow, Key: key, HighPart: si},
-					}
+					low := &SInst{In: axp.MemInst(axp.LDA, dst, dst, 0), Target: -1}
+					low.SetGPRel(&GPRelInfo{Kind: GPRelUseLow, Key: key, HighPart: si})
 					inserts = append(inserts, insertion{after: si, inst: low})
 					changed = true
 				}
@@ -176,8 +175,8 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 // resetCallee determines the procedure a call site transfers to, or nil for
 // indirect calls.
 func resetCallee(pg *Prog, call *SInst) *Proc {
-	if call.Call != nil {
-		return call.Call.Target
+	if call.Call() != nil {
+		return call.Call().Target
 	}
 	if call.Use != nil && call.Use.JSR {
 		return pg.ProcFor(call.Use.Lit.Lit.Key)
@@ -196,10 +195,10 @@ func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 	return pg.forEachProc(func(pr *Proc) bool {
 		changed := false
 		for _, si := range pr.Insts {
-			if si.Deleted || si.GPD == nil || !si.GPD.High || si.GPD.Entry {
+			if si.Deleted || si.GPD() == nil || !si.GPD().High || si.GPD().Entry {
 				continue
 			}
-			call := si.GPD.AfterCall
+			call := si.GPD().AfterCall
 			if call.Deleted {
 				continue
 			}
@@ -208,14 +207,14 @@ func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 			if !same {
 				continue
 			}
-			if si.GPD.Partner.Deleted || si.GPD.Partner.In.IsNop() {
+			if si.GPD().Partner.Deleted || si.GPD().Partner.In.IsNop() {
 				continue // already done
 			}
 			if si.In.IsNop() {
 				continue
 			}
 			nullifyInst(si, full)
-			nullifyInst(si.GPD.Partner, full)
+			nullifyInst(si.GPD().Partner, full)
 			changed = true
 		}
 		return changed
@@ -225,21 +224,32 @@ func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 // pairPosition locates the prologue GP pair of a procedure among its live
 // instructions, returning the hi instruction, its index, and the lo index.
 func pairPosition(pr *Proc) (hi *SInst, hiIdx, loIdx int) {
-	live := pr.Live()
 	hiIdx, loIdx = -1, -1
-	for i, si := range live {
-		if si.GPD != nil && si.GPD.High && si.GPD.Entry && !si.In.IsNop() {
-			hi = si
-			hiIdx = i
-			for j, sj := range live {
-				if sj == si.GPD.Partner {
-					loIdx = j
-				}
-			}
-			return hi, hiIdx, loIdx
+	i := 0
+	for _, si := range pr.Insts {
+		if si.Deleted {
+			continue
 		}
+		if si.GPD() != nil && si.GPD().High && si.GPD().Entry && !si.In.IsNop() {
+			hi, hiIdx = si, i
+			break
+		}
+		i++
 	}
-	return nil, -1, -1
+	if hi == nil {
+		return nil, -1, -1
+	}
+	i = 0
+	for _, si := range pr.Insts {
+		if si.Deleted {
+			continue
+		}
+		if si == hi.GPD().Partner {
+			loIdx = i
+		}
+		i++
+	}
+	return hi, hiIdx, loIdx
 }
 
 // markPairPositions records, for every procedure, whether its prologue GP
@@ -263,21 +273,28 @@ func restoreProloguePairs(pg *Prog) {
 		if hi == nil || (hiIdx == 0 && loIdx == 1) {
 			return false
 		}
-		lo := hi.GPD.Partner
+		lo := hi.GPD().Partner
 		// The pair must still be in the entry block (no intervening labels
 		// or control transfers), and nothing before it may touch GP or PV.
-		live := pr.Live()
-		limit := loIdx
-		if hiIdx > limit {
-			limit = hiIdx
-		}
+		limit := max(hiIdx, loIdx)
+		var first *SInst
 		safe := true
-		for i := 0; i <= limit && safe; i++ {
-			si := live[i]
+		i := 0
+		for _, si := range pr.Insts {
+			if i > limit || !safe {
+				break
+			}
+			if si.Deleted {
+				continue
+			}
+			if first == nil {
+				first = si
+			}
+			i++
 			if si == hi || si == lo {
 				continue
 			}
-			if i > 0 && len(si.Labels) > 0 {
+			if si != first && len(si.Labels()) > 0 {
 				safe = false
 			}
 			if si.In.Op.IsBranch() || si.In.Op.IsJump() || si.In.Op == axp.CALLPAL {
@@ -295,18 +312,19 @@ func restoreProloguePairs(pg *Prog) {
 		if !safe {
 			return false
 		}
-		// Rebuild the full instruction list with the pair first, carrying
-		// any entry labels along.
-		entryLabels := append([]int(nil), live[0].Labels...)
-		live[0].Labels = nil
-		rest := make([]*SInst, 0, len(pr.Insts))
-		for _, si := range pr.Insts {
-			if si != hi && si != lo {
-				rest = append(rest, si)
+		// Move the pair to the front of the instruction list, in place and
+		// keeping everything else in order, carrying any entry labels along.
+		entryLabels := append([]int(nil), first.Labels()...)
+		first.SetLabels(nil)
+		w := len(pr.Insts)
+		for r := len(pr.Insts) - 1; r >= 0; r-- {
+			if si := pr.Insts[r]; si != hi && si != lo {
+				w--
+				pr.Insts[w] = si
 			}
 		}
-		hi.Labels = append(entryLabels, hi.Labels...)
-		pr.Insts = append([]*SInst{hi, lo}, rest...)
+		pr.Insts[0], pr.Insts[1] = hi, lo
+		hi.SetLabels(append(entryLabels, hi.Labels()...))
 		return true
 	})
 	markPairPositions(pg)
@@ -316,7 +334,7 @@ func restoreProloguePairs(pg *Prog) {
 // procedure reads GP.
 func procUsesGP(pr *Proc) bool {
 	for _, si := range pr.Insts {
-		if si.Deleted || si.GPD != nil {
+		if si.Deleted || si.GPD() != nil {
 			continue
 		}
 		for _, r := range si.In.Reads() {

@@ -214,8 +214,20 @@ func (c *Client) Image(ctx context.Context, id string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// The server sends the image's length, so one exact buffer holds it;
+	// io.ReadAll would grow its buffer several times over.
+	if n := resp.ContentLength; n >= 0 && n <= maxImageBytes {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
 	return io.ReadAll(resp.Body)
 }
+
+// maxImageBytes bounds the buffer a declared Content-Length may reserve.
+const maxImageBytes = 1 << 30
 
 // Journal fetches a traced job's decision journal (om-journal/v1 bytes).
 func (c *Client) Journal(ctx context.Context, id string) ([]byte, error) {

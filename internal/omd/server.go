@@ -165,6 +165,9 @@ type Server struct {
 	// with jobs is needed, and both report stage/* counters to /metrics.
 	progCache *buildcache.ProgramCache
 	omMemo    *om.Memo
+	// progBuilds holds, per program key being built, a channel closed when
+	// the build ends; guarded by mu.
+	progBuilds map[string]chan struct{}
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -239,6 +242,7 @@ func NewServer(cfg Config) *Server {
 		flights:    make(map[string]*flight),
 		memo:       make(map[string]*result),
 		jobs:       make(map[string]*jobRecord),
+		progBuilds: make(map[string]chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -497,6 +501,81 @@ func sharedAttrs(attrs map[string]string) map[string]string {
 	return out
 }
 
+// program returns the job's merged program from the resident cache,
+// building and caching it on a miss. Concurrent misses on one key build it
+// once: the other jobs wait for that build and then find the program
+// resident, so a burst of option sets over a program not yet resident
+// compiles and merges it a single time.
+func (s *Server) program(ctx context.Context, rs *resolved, sp *obs.Span) (*link.Program, error) {
+	pcs := sp.Child("program-cache")
+	for {
+		s.mu.Lock()
+		building, busy := s.progBuilds[rs.progKey]
+		if !busy {
+			p, hit := s.progCache.Get(rs.progKey)
+			if !hit {
+				building = make(chan struct{})
+				s.progBuilds[rs.progKey] = building
+			}
+			s.mu.Unlock()
+			pcs.SetAttr("hit", strconv.FormatBool(hit))
+			pcs.End()
+			if hit {
+				return p, nil
+			}
+			defer func() {
+				s.mu.Lock()
+				delete(s.progBuilds, rs.progKey)
+				s.mu.Unlock()
+				close(building)
+			}()
+			p, err := s.buildProgram(rs, sp)
+			if err == nil {
+				s.progCache.Put(rs.progKey, p)
+			}
+			return p, err
+		}
+		s.mu.Unlock()
+		select {
+		case <-building:
+		case <-ctx.Done():
+			pcs.End()
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// buildProgram compiles or decodes the job's objects and merges them.
+func (s *Server) buildProgram(rs *resolved, sp *obs.Span) (*link.Program, error) {
+	var objs []*objfile.Object
+	var err error
+	if rs.spec.Benchmark != "" {
+		cs := sp.Child("compile")
+		cs.SetAttr("benchmark", rs.spec.Benchmark)
+		compileDone := obs.StartSpan(s.reg.Timer("omd/compile"))
+		objs, err = s.compileBenchmark(rs)
+		compileDone()
+		cs.End()
+	} else {
+		ds := sp.Child("decode-objects")
+		objs, err = rs.decodeObjects()
+		ds.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !rs.spec.NoStdlib {
+		lib, err := s.libObjects()
+		if err != nil {
+			return nil, err
+		}
+		objs = append(append([]*objfile.Object(nil), objs...), lib...)
+	}
+	ms := sp.Child("merge")
+	defer ms.End()
+	return link.Merge(objs)
+}
+
 // logJobDone emits the structured completion record, correlated to the
 // job's trace, and the full span tree when the job breaches the slow-job
 // threshold.
@@ -585,42 +664,9 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 		}
 	}
 
-	pcs := sp.Child("program-cache")
-	p, hit := s.progCache.Get(rs.progKey)
-	pcs.SetAttr("hit", strconv.FormatBool(hit))
-	pcs.End()
-	if !hit {
-		var objs []*objfile.Object
-		var err error
-		if rs.spec.Benchmark != "" {
-			cs := sp.Child("compile")
-			cs.SetAttr("benchmark", rs.spec.Benchmark)
-			compileDone := obs.StartSpan(s.reg.Timer("omd/compile"))
-			objs, err = s.compileBenchmark(rs)
-			compileDone()
-			cs.End()
-		} else {
-			ds := sp.Child("decode-objects")
-			objs, err = rs.decodeObjects()
-			ds.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !rs.spec.NoStdlib {
-			lib, err := s.libObjects()
-			if err != nil {
-				return nil, err
-			}
-			objs = append(append([]*objfile.Object(nil), objs...), lib...)
-		}
-		ms := sp.Child("merge")
-		p, err = link.Merge(objs)
-		ms.End()
-		if err != nil {
-			return nil, err
-		}
-		s.progCache.Put(rs.progKey, p)
+	p, err := s.program(ctx, rs, sp)
+	if err != nil {
+		return nil, err
 	}
 
 	omSpan := sp.Child("om")
@@ -815,8 +861,8 @@ func (s *Server) lintImage(progReports []*dataflow.Report, im *objfile.Image, sp
 }
 
 func imageBytes(im *objfile.Image) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := im.Write(&buf); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, im.EncodedLen()))
+	if err := im.Write(buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -1170,6 +1216,7 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.image)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res.image)
 }

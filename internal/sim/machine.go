@@ -178,15 +178,22 @@ func New(im *objfile.Image, cfg Config) (*Machine, error) {
 	// sparse page map remains as the fallback for everything else. Data
 	// segments are reserved first: the arena list is searched in order and
 	// data traffic dominates the fallback-free path.
+	// A sparse data region is a chain of adjacent segments; it is reserved
+	// as one arena, which is zero already, so only initialized bytes load.
 	isText := make(map[uint64]bool)
 	for _, seg := range im.TextSegments() {
 		isText[seg.Addr] = true
 	}
-	for i := range im.Segments {
-		seg := &im.Segments[i]
-		if !isText[seg.Addr] {
-			m.mem.Reserve(seg.Addr, uint64(len(seg.Data))+seg.ZeroSize)
+	for i := 0; i < len(im.Segments); {
+		if isText[im.Segments[i].Addr] {
+			i++
+			continue
 		}
+		start, end := im.Segments[i].Addr, im.Segments[i].End()
+		for i++; i < len(im.Segments) && !isText[im.Segments[i].Addr] && im.Segments[i].Addr == end; i++ {
+			end = im.Segments[i].End()
+		}
+		m.mem.Reserve(start, end-start)
 	}
 	m.mem.Reserve(objfile.StackTop-objfile.StackSize, objfile.StackSize)
 	for _, seg := range im.TextSegments() {
@@ -196,9 +203,6 @@ func New(im *objfile.Image, cfg Config) (*Machine, error) {
 	for i := range im.Segments {
 		seg := &im.Segments[i]
 		m.mem.LoadBytes(seg.Addr, seg.Data)
-		if seg.ZeroSize > 0 {
-			m.mem.LoadBytes(seg.Addr+uint64(len(seg.Data)), make([]byte, seg.ZeroSize))
-		}
 	}
 	for _, seg := range im.TextSegments() {
 		insts, err := axp.DecodeAll(seg.Data)
