@@ -85,7 +85,8 @@ bench-link:
 
 # linkbench-smoke keeps the warm-path suite honest on every push: each link
 # benchmark runs once, then a command-line -warmcheck link proves a warm
-# relink is byte-identical to the cold link that preceded it. The program
+# relink replays the pass memo to an image byte-identical to the cold link,
+# with the -verify and -lint shadow checks on that cold link. The program
 # carries a 1 MiB common, and the image must stay under 64 KiB: linked
 # images store only initialized data, never the zeros of commons and bss.
 linkbench-smoke:
@@ -93,7 +94,7 @@ linkbench-smoke:
 	@dir=$$(mktemp -d); \
 	printf 'long g;\nlong big[131072];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i] = g; i = i + 1; } return g; }\n' > $$dir/t.tc; \
 	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \
-	$(GO) run ./cmd/om -warmcheck -o $$dir/a.out $$dir/t.o && \
+	$(GO) run ./cmd/om -warmcheck -verify -lint -o $$dir/a.out $$dir/t.o && \
 	size=$$(wc -c < $$dir/a.out) && \
 	if [ $$size -gt 65536 ]; then echo "linkbench-smoke: a.out is $$size bytes, over 64 KiB"; false; fi; \
 	status=$$?; rm -rf $$dir; exit $$status

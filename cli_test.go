@@ -4,8 +4,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/verify"
 )
 
 // buildTools compiles the command-line tools once into a temp dir.
@@ -88,6 +91,42 @@ long main() {
 		}
 		if !strings.Contains(stdout, "144") {
 			t.Errorf("om_%s output %q, want 144", level, stdout)
+		}
+	}
+
+	// Shadow checks: a verified, linted, traced link succeeds and writes a
+	// clean verdict document next to the journal.
+	journal := filepath.Join(work, "prog.journal")
+	checked := filepath.Join(work, "checked.out")
+	if _, errOut, err := runTool(t, filepath.Join(bins, "om"),
+		"-o", checked, "-verify", "-lint", "-trace", journal, obj); err != nil {
+		t.Fatalf("om -verify -lint -trace: %v\n%s", err, errOut)
+	}
+	vf, err := os.Open(journal + ".verify.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := verify.Read(vf)
+	vf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Checked == 0 || doc.Failed != 0 {
+		t.Errorf("verdicts: %d checked, %d failed", doc.Checked, doc.Failed)
+	}
+
+	// -warmcheck must replay the pass memo whatever other flag is set: the
+	// journal and the lint observer both bypass the memo's warm path.
+	hits := regexp.MustCompile(`warmcheck ok \((\d+) pass-memo hits`)
+	for _, flags := range [][]string{nil, {"-verify"}, {"-lint"}, {"-trace", journal},
+		{"-verify", "-lint", "-trace", journal}} {
+		args := append(append([]string{"-v", "-warmcheck", "-o", checked}, flags...), obj)
+		_, errOut, err := runTool(t, filepath.Join(bins, "om"), args...)
+		if err != nil {
+			t.Fatalf("om %v: %v\n%s", args, err, errOut)
+		}
+		if m := hits.FindStringSubmatch(errOut); m == nil || m[1] == "0" {
+			t.Errorf("om %v: warmcheck replayed nothing:\n%s", args, errOut)
 		}
 	}
 

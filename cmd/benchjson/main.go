@@ -1,8 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // repository's tracked benchmark records (BENCH_sim.json, BENCH_link.json):
 //
-//	{"date": "YYYY-MM-DD", "commit": "<short sha>",
+//	{"date": "YYYY-MM-DD", "commit": "<short sha>[-dirty]",
 //	 "benchmarks": [{"name", "ns_per_op", "instructions_per_sec"}, ...]}
+//
+// The commit is HEAD, suffixed -dirty when tracked files differ from it:
+// numbers measured before their change is committed are then not credited
+// to its parent.
 //
 // Benchmarks that report an `inst/s` metric (the simulator suite does) get
 // instructions_per_sec filled in; runs under -benchmem also record
@@ -103,12 +107,22 @@ func parse(line string) (benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
-func commit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+// commit names the HEAD of the git work tree at dir ("" for the current
+// directory), with -dirty appended when tracked files differ from it.
+func commit(dir string) string {
+	head := exec.Command("git", "rev-parse", "--short", "HEAD")
+	head.Dir = dir
+	out, err := head.Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	sha := strings.TrimSpace(string(out))
+	diff := exec.Command("git", "diff", "--quiet", "HEAD", "--")
+	diff.Dir = dir
+	if diff.Run() != nil {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 func main() {
@@ -118,7 +132,7 @@ func main() {
 
 	rec := record{
 		Date:        time.Now().UTC().Format("2006-01-02"),
-		Commit:      commit(),
+		Commit:      commit(""),
 		Environment: hostEnvironment(),
 	}
 	sc := bufio.NewScanner(os.Stdin)

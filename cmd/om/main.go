@@ -8,20 +8,24 @@
 //	   [-profile file] [-stats] [-trace file] [-verify] [-lint] [-metrics]
 //	   [-warmcheck] [-v] file.o...
 //
-// -warmcheck links the program a second time through the per-procedure warm
-// memo and fails unless the replayed image is byte-identical to the first —
-// a command-line probe of the incremental pipeline's core invariant.
+// -warmcheck links the program twice more through the per-procedure warm
+// memo, with the base options only (no journal, no lint observer, which
+// would bypass the memo), and fails unless the second of those links
+// replayed at least one procedure's passes and produced an image
+// byte-identical to the one written — a command-line probe of the
+// incremental pipeline's core invariant.
 //
-// -lint shadows the link with the static whole-program dataflow analysis:
-// the symbolic program is analyzed before and after the optimization
-// passes, and the link fails if the passes introduce any error finding the
-// input program did not already carry (no simulator, no decision journal —
-// purely static).
-//
-// -verify translation-validates the produced image against the link's own
-// decision journal and refuses to write an image any rewrite of which cannot
-// be proven sound. With -trace, the om-verify/v1 verdict document is written
-// next to the journal as <trace>.verify.json.
+// -lint shadows the link with the static whole-program dataflow analysis
+// of the lifted program, the optimized program and the emitted image (no
+// simulator, no decision journal — purely static). -verify
+// translation-validates the produced image against the link's own decision
+// journal. Both run through verify.Shadow, the shadow-check path every
+// surface shares, and share its single gate: om refuses to write the image
+// on any failed verdict, on any error finding in any of the three reports
+// (whether the input already carried it or the passes introduced it), and,
+// with both flags, on any disagreement between the verdicts and the image
+// report. With -verify and -trace, the om-verify/v1 verdict document is
+// written next to the journal as <trace>.verify.json.
 //
 // -profile enables profile-guided procedure layout from an om-profile/v1
 // document (collected with axsim -profileout or om -instrument feedback);
@@ -38,7 +42,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/dataflow"
 	"repro/internal/harness"
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -60,7 +63,7 @@ func main() {
 	jobs := flag.Int("j", 0, "max concurrent analysis goroutines (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
 	verifyFlag := flag.Bool("verify", false, "translation-validate the image against the decision journal before writing it")
-	lint := flag.Bool("lint", false, "statically analyze the program before and after the passes; fail on any new error finding")
+	lint := flag.Bool("lint", false, "statically analyze the program before and after the passes and the image; fail on any error finding")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
 	warmcheck := flag.Bool("warmcheck", false, "relink through the warm per-procedure memo and verify the image is byte-identical")
 	verbose := flag.Bool("v", false, "print progress")
@@ -150,63 +153,33 @@ func main() {
 		reg = obs.NewRegistry()
 		opts = append(opts, om.WithMetrics(reg))
 	}
-	if *trace != "" || *verifyFlag {
-		opts = append(opts, om.WithTrace())
+	shadow := verify.NewShadow(verify.Checks{Verify: *verifyFlag, Lint: *lint}, nil)
+	run := append(shadow.Options(), opts...)
+	if *trace != "" {
+		run = append(run, om.WithTrace())
 	}
-	var memo *om.Memo
-	if *warmcheck {
-		memo = om.NewMemo(reg)
-		opts = append(opts, om.WithMemo(memo))
-	}
-	lintReports := map[om.ProgStage]*dataflow.Report{}
-	if *lint {
-		opts = append(opts, om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return fmt.Errorf("lint %s: %w", stage, err)
-			}
-			lintReports[stage] = rep
-			return nil
-		}))
-	}
-	res, err := om.Run(context.Background(), p, opts...)
+	res, err := om.Run(context.Background(), p, run...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "om:", err)
 		os.Exit(1)
 	}
 	logger.Logf("om: optimized at %v: %v", lvl, res.Stats)
-	if *lint {
-		pre, post := lintReports[om.StageLifted], lintReports[om.StageOptimized]
-		if pre == nil || post == nil {
-			fmt.Fprintln(os.Stderr, "om: lint: analysis stages missing")
-			os.Exit(1)
-		}
-		if regressions := lintRegressions(pre, post); len(regressions) > 0 {
-			for _, f := range regressions {
-				fmt.Fprintf(os.Stderr, "om: lint: new %s\n", f.String())
-			}
-			fmt.Fprintf(os.Stderr, "om: lint: the passes introduced %d error finding(s); refusing to write %s\n",
-				len(regressions), *out)
-			os.Exit(1)
-		}
-		logger.Logf("om: lint ok (%d pre-pass, %d post-pass sites; %d pre-existing errors)",
-			pre.Checked, post.Checked, pre.Errors())
-	}
 	im := res.Image
+	checked := shadow.Check(res)
+	if err := checked.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "om: %v; refusing to write %s\n", err, *out)
+		os.Exit(1)
+	}
+	if *lint {
+		logger.Logf("om: lint ok (%d lifted, %d optimized, %d image sites)",
+			checked.Lifted.Checked, checked.Optimized.Checked, checked.Static.Checked)
+	}
 	if *verifyFlag {
-		doc, err := verify.ValidateImage(im, res.Journal)
-		if err == nil {
-			err = doc.Err()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "om: verify:", err)
-			os.Exit(1)
-		}
-		logger.Logf("om: verify ok (%d checks)", doc.Checked)
+		logger.Logf("om: verify ok (%d checks)", checked.Doc.Checked)
 		if *trace != "" {
 			vf, err := os.Create(*trace + ".verify.json")
 			if err == nil {
-				err = verify.Write(vf, doc)
+				err = verify.Write(vf, checked.Doc)
 				vf.Close()
 			}
 			if err != nil {
@@ -216,18 +189,24 @@ func main() {
 			logger.Logf("om: wrote verdicts to %s.verify.json", *trace)
 		}
 	}
-	if memo != nil {
-		// The first run populated the memo; a second run over the same
-		// program and options must replay it to a byte-identical image —
-		// the invariant the incremental warm path is built on.
-		warm, err := om.Run(context.Background(), p, opts...)
+	if *warmcheck {
+		// A link with the base options primes the memo; a second must
+		// replay it to the image already produced — the invariant the
+		// incremental warm path is built on.
+		memo := om.NewMemo(reg)
+		warm := append(opts, om.WithMemo(memo))
+		var relinked *om.Result
+		_, err := om.Run(context.Background(), p, warm...)
+		if err == nil {
+			relinked, err = om.Run(context.Background(), p, warm...)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "om: warmcheck relink:", err)
 			os.Exit(1)
 		}
 		var cold, hot bytes.Buffer
 		if err := im.Write(&cold); err == nil {
-			err = warm.Image.Write(&hot)
+			err = relinked.Image.Write(&hot)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "om: warmcheck:", err)
@@ -237,8 +216,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "om: warmcheck: warm relink produced a different image")
 			os.Exit(1)
 		}
-		st := memo.PassStats()
-		logger.Logf("om: warmcheck ok (%d pass-memo hits, image byte-identical)", st.Hits)
+		hits := memo.PassStats().Hits
+		if hits == 0 {
+			fmt.Fprintln(os.Stderr, "om: warmcheck: the relink replayed no procedure from the pass memo")
+			os.Exit(1)
+		}
+		logger.Logf("om: warmcheck ok (%d pass-memo hits, image byte-identical)", hits)
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, res.Stats)
@@ -275,23 +258,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Logf("om: wrote %s", *out)
-}
-
-// lintRegressions returns the post-pass error findings absent from the
-// pre-pass report, keyed by (check, procedure): errors the passes
-// introduced, as opposed to problems the input program already carried.
-func lintRegressions(pre, post *dataflow.Report) []dataflow.Finding {
-	had := make(map[string]bool)
-	for _, f := range pre.Findings {
-		if f.Severity == dataflow.SevError {
-			had[f.ID+"\x00"+f.Proc] = true
-		}
-	}
-	var out []dataflow.Finding
-	for _, f := range post.Findings {
-		if f.Severity == dataflow.SevError && !had[f.ID+"\x00"+f.Proc] {
-			out = append(out, f)
-		}
-	}
-	return out
 }

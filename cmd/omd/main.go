@@ -15,7 +15,9 @@
 // counted in /metrics (omd/verify-*) and visible as a verify span in the
 // job trace; a shadow failure never fails the job. Jobs that request
 // verification explicitly (JobSpec verify, `omctl submit -verify`) are
-// always validated and do fail on a bad verdict.
+// always validated and do fail on a bad verdict; so does a lint job
+// (JobSpec lint) whose sampled shadow verification fails, since both
+// checks share one gate.
 //
 // Every job gets a span-tree trace (GET /jobs/{id}/trace; recent completed
 // traces at GET /debug/flights), structured logs correlate by trace id, and

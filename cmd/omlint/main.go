@@ -18,9 +18,10 @@
 // symbolic program (post-pass), and the emitted image.
 //
 // -matrix compiles the named benchmarks (default: the full suite) and
-// analyzes the image of every golden matrix cell, failing on any
-// error-severity finding — the static half of the verification story
-// omverify witnesses dynamically.
+// analyzes every golden matrix cell (its lifted and optimized program and
+// its image; the image report is shown), failing on any error-severity
+// finding — the static half of the verification story omverify witnesses
+// dynamically.
 //
 // -faultcheck is the detection-power self-test: it installs the standard
 // fault injection (a kept address load silently deleted after the passes)
@@ -40,7 +41,6 @@ import (
 	"strings"
 
 	"repro/internal/dataflow"
-	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/rtlib"
@@ -143,38 +143,14 @@ func runObjects(ctx context.Context, files []string, level string, sched, nostdl
 		}
 		objs = append(objs, lib...)
 	}
-	reps, err := lintObjects(ctx, objs, lvl, sched)
+	r, err := verify.RunCell(ctx, objs, verify.Cell{Level: lvl, Schedule: sched}, nil, verify.Checks{Lint: true})
 	if err != nil {
 		fail("%v", err)
 	}
-	report(strings.Join(files, ","), reps, jsonOut, missed)
-}
-
-// lintObjects runs the three-report analysis: the lifted program, the
-// optimized program, and the emitted image.
-func lintObjects(ctx context.Context, objs []*objfile.Object, lvl om.Level, sched bool) ([]*dataflow.Report, error) {
-	p, err := link.Merge(objs)
-	if err != nil {
-		return nil, err
+	report(strings.Join(files, ","), r.Reports(), jsonOut, missed)
+	if err := r.Err(); err != nil {
+		fail("%v", err)
 	}
-	var reps []*dataflow.Report
-	res, err := om.Run(ctx, p, om.WithLevel(lvl), om.WithSchedule(sched),
-		om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			reps = append(reps, rep)
-			return nil
-		}))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := dataflow.AnalyzeImage(res.Image)
-	if err != nil {
-		return nil, err
-	}
-	return append(reps, rep), nil
 }
 
 // matrixRow is one benchmark × cell of the -matrix report.
@@ -227,18 +203,19 @@ func runBenchMatrix(ctx context.Context, names string, quick, jsonOut, missed bo
 		objs = append(objs, lib...)
 		for _, c := range cells {
 			row := matrixRow{Label: b.Name, Cell: c.Name()}
-			rep, err := lintCell(ctx, objs, c)
+			r, err := verify.RunCell(ctx, objs, c, nil, verify.Checks{Lint: true})
+			if err == nil {
+				if rep := r.Static; rep != nil {
+					row.Checked = rep.Checked
+					row.Errors = rep.Errors()
+					row.Info = len(rep.Findings) - rep.Errors()
+					row.report = rep
+				}
+				err = r.Err()
+			}
 			if err != nil {
 				row.Err = err.Error()
 				failed++
-			} else {
-				row.Checked = rep.Checked
-				row.Errors = rep.Errors()
-				row.Info = len(rep.Findings) - rep.Errors()
-				row.report = rep
-				if row.Errors > 0 {
-					failed++
-				}
 			}
 			rows = append(rows, row)
 		}
@@ -256,8 +233,6 @@ func runBenchMatrix(ctx context.Context, names string, quick, jsonOut, missed bo
 			switch {
 			case row.Err != "":
 				status = "FAIL " + row.Err
-			case row.Errors > 0:
-				status = fmt.Sprintf("FAIL %d error finding(s)", row.Errors)
 			case row.Info > 0:
 				status = fmt.Sprintf("ok (%d info)", row.Info)
 			}
@@ -276,39 +251,6 @@ func runBenchMatrix(ctx context.Context, names string, quick, jsonOut, missed bo
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// lintCell optimizes the objects at one matrix cell and analyzes the image.
-func lintCell(ctx context.Context, objs []*objfile.Object, c verify.Cell) (*dataflow.Report, error) {
-	p, err := link.Merge(objs)
-	if err != nil {
-		return nil, err
-	}
-	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule)}
-	if c.Ablation != (om.Ablation{}) {
-		opts = append(opts, om.WithAblation(c.Ablation))
-	}
-	if c.Profile {
-		// Profile-guided layout needs a profile; collect it from the
-		// unprofiled image of the same cell.
-		plain, err := om.Run(ctx, p, om.WithLevel(c.Level), om.WithSchedule(c.Schedule))
-		if err != nil {
-			return nil, err
-		}
-		prof, err := verify.EngineProfile(plain.Image, 100_000_000)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, om.WithProfile(prof))
-		if p, err = link.Merge(objs); err != nil {
-			return nil, err
-		}
-	}
-	res, err := om.Run(ctx, p, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return dataflow.AnalyzeImage(res.Image)
 }
 
 // faultcheckProgram is the fixture the self-test optimizes and breaks. The
@@ -359,33 +301,15 @@ func runFaultcheck(ctx context.Context) {
 	if err != nil {
 		fail("%v", err)
 	}
-	p, err := link.Merge(append([]*objfile.Object{obj}, lib...))
-	if err != nil {
-		fail("%v", err)
-	}
-	var post *dataflow.Report
-	_, err = om.Run(ctx, p, om.WithLevel(om.LevelFull),
-		om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			if stage != om.StageOptimized {
-				return nil
-			}
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			post = rep
-			return nil
-		}))
+	r, err := verify.RunCell(ctx, append([]*objfile.Object{obj}, lib...), verify.Cell{Level: om.LevelFull}, nil, verify.Checks{Lint: true})
 	if err != nil {
 		fail("%v", err)
 	}
 	if !injected {
 		fail("faultcheck: no kept address load to break — fixture no longer exercises the hook")
 	}
-	if post == nil {
-		fail("faultcheck: optimized-stage analysis never ran")
-	}
-	if post.Errors() == 0 {
+	post := r.Optimized
+	if post.Errors() == 0 || r.Err() == nil {
 		fail("faultcheck: the injected fault produced no error finding — detection power lost")
 	}
 	for _, f := range post.Findings {

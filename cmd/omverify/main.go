@@ -12,9 +12,11 @@
 // -matrix compiles the named benchmarks (default: the full suite) and
 // verifies every golden matrix cell — each optimization level with and
 // without scheduling, every single-component ablation of OM-full, and
-// profile-guided layout — failing if a single rewrite cannot be proven
-// sound. -quick restricts the run to the differential runner's smaller cell
-// set.
+// profile-guided layout — and lints it, failing on the gate om -verify
+// -lint applies: a single rewrite that cannot be proven sound, an error
+// finding in the static analysis of the cell's program or image, or a
+// disagreement between the two. -quick restricts the run to the
+// differential runner's smaller cell set.
 //
 // -diff N generates N random programs, links each one unoptimized and
 // through every quick cell, and diffs the final architectural state (exit,

@@ -103,8 +103,8 @@ type Measurement struct {
 	Verify *verify.Doc
 	// Lint is the cell's static om-lint/v1 report over the linked image
 	// (Runner.Lint runs through an OM link mode only; nil otherwise). A
-	// cell whose image carries an error finding never produces a
-	// Measurement — the run errors.
+	// cell with an error finding in this or the program-level reports
+	// never produces a Measurement — the run errors.
 	Lint *dataflow.Report
 }
 
@@ -160,11 +160,12 @@ type Runner struct {
 	// off) and fails the cell when a rewrite cannot be proven sound. The
 	// verdict document lands in Measurement.Verify.
 	Verify bool
-	// Lint statically analyzes every OM-linked cell's image with the
-	// whole-program dataflow checks and fails the cell on any error
-	// finding. With Verify also on, the two engines are cross-checked
-	// (verify.Doc.CrossCheckStatic) so a rewrite cannot be dynamically
-	// sound and statically broken at once. The report lands in
+	// Lint statically analyzes every OM-linked cell's lifted program,
+	// optimized program and image with the whole-program dataflow checks
+	// and fails the cell on any error finding. Verify and Lint share one
+	// gate (verify.Outcome.Err): with both on, the two engines are also
+	// cross-checked so a rewrite cannot be dynamically sound and
+	// statically broken at once. The image report lands in
 	// Measurement.Lint.
 	Lint bool
 	// Span, when non-nil, receives one child span per pipeline stage the
@@ -245,8 +246,8 @@ func WithVerify(on bool) RunnerOption {
 	return func(r *Runner) { r.Verify = on }
 }
 
-// WithLint statically analyzes every OM-linked cell's image, failing the
-// cell on any error finding (see Runner.Lint).
+// WithLint statically analyzes every OM-linked cell's program and image,
+// failing the cell on any error finding (see Runner.Lint).
 func WithLint(on bool) RunnerOption {
 	return func(r *Runner) { r.Lint = on }
 }
@@ -262,12 +263,6 @@ func New(opts ...RunnerOption) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// NewRunner builds a runner with the default timing model.
-//
-// Deprecated: use New, optionally with RunnerOptions. This shim survives
-// one release for out-of-tree callers and then goes away.
-func NewRunner() (*Runner, error) { return New() }
 
 func (r *Runner) logf(format string, args ...any) {
 	if r.Logger != nil {
@@ -388,13 +383,13 @@ func (r *Runner) compile(b spec.Benchmark, mode BuildMode) ([]*objfile.Object, t
 	return objs, dt, nil
 }
 
-// linkVariant produces the image (and OM stats and, when tracing,
-// verifying, or linting, the decision journal, verdict document, and
-// static findings report) for one link mode.
-func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode LinkMode) (*objfile.Image, *om.Stats, *obs.JournalDoc, *verify.Doc, *dataflow.Report, time.Duration, error) {
+// linkVariant produces the image for one link mode, and the link's part
+// of the cell's Measurement: OM stats, build time and, when tracing,
+// verifying or linting, the journal, verdict document and image report.
+func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode LinkMode) (*objfile.Image, *Measurement, error) {
 	lib, err := r.libObjects()
 	if err != nil {
-		return nil, nil, nil, nil, nil, 0, err
+		return nil, nil, err
 	}
 	all := append(append([]*objfile.Object(nil), objs...), lib...)
 	sp := r.Span.Child("harness/link")
@@ -402,72 +397,49 @@ func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode L
 	defer sp.End()
 	start := time.Now()
 	defer func() { r.Metrics.Timer("harness/link").Observe(time.Since(start)) }()
-	switch mode {
-	case LinkStandard:
+	if mode == LinkStandard {
 		im, err := link.Link(all)
-		return im, nil, nil, nil, nil, time.Since(start), err
-	default:
-		opts := []om.Option{om.WithMetrics(r.Metrics), om.WithSpan(sp)}
-		if r.Memo != nil {
-			opts = append(opts, om.WithMemo(r.Memo))
-		}
-		if r.Trace || r.Verify {
-			opts = append(opts, om.WithTrace())
-		}
-		switch mode {
-		case OMNone:
-			opts = append(opts, om.WithLevel(om.LevelNone))
-		case OMSimple:
-			opts = append(opts, om.WithLevel(om.LevelSimple))
-		case OMFull:
-			opts = append(opts, om.WithLevel(om.LevelFull))
-		case OMFullSched:
-			opts = append(opts, om.WithLevel(om.LevelFull), om.WithSchedule(true))
-		}
-		p, _, err := r.Programs.GetOrMerge(all)
 		if err != nil {
-			return nil, nil, nil, nil, nil, 0, err
+			return nil, nil, err
 		}
-		res, err := om.Run(ctx, p, opts...)
-		if err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		var vdoc *verify.Doc
-		if r.Verify {
-			vdoc, err = verify.ValidateImage(res.Image, res.Journal)
-			if err == nil {
-				err = vdoc.Err()
-			}
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("verify %v: %w", mode, err)
-			}
-		}
-		var ldoc *dataflow.Report
-		if r.Lint {
-			ldoc, err = dataflow.AnalyzeImage(res.Image)
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %w", mode, err)
-			}
-			for _, f := range ldoc.Findings {
-				if f.Severity == dataflow.SevError {
-					return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %d error finding(s); first: %s",
-						mode, ldoc.Errors(), f.String())
-				}
-			}
-			if vdoc != nil {
-				// Both engines ran over the same image: prove they agree.
-				if err := vdoc.CrossCheckStatic(ldoc); err != nil {
-					return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %w", mode, err)
-				}
-			}
-		}
-		journal := res.Journal
-		if !r.Trace {
-			// The journal, if any, was forced for verification only.
-			journal = nil
-		}
-		return res.Image, res.Stats, journal, vdoc, ldoc, time.Since(start), nil
+		return im, &Measurement{BuildTime: time.Since(start)}, nil
 	}
+	shadow := verify.NewShadow(verify.Checks{Verify: r.Verify, Lint: r.Lint}, sp)
+	opts := append(shadow.Options(), om.WithMetrics(r.Metrics), om.WithSpan(sp))
+	if r.Memo != nil {
+		opts = append(opts, om.WithMemo(r.Memo))
+	}
+	if r.Trace {
+		opts = append(opts, om.WithTrace())
+	}
+	switch mode {
+	case OMNone:
+		opts = append(opts, om.WithLevel(om.LevelNone))
+	case OMSimple:
+		opts = append(opts, om.WithLevel(om.LevelSimple))
+	case OMFull:
+		opts = append(opts, om.WithLevel(om.LevelFull))
+	case OMFullSched:
+		opts = append(opts, om.WithLevel(om.LevelFull), om.WithSchedule(true))
+	}
+	p, _, err := r.Programs.GetOrMerge(all)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := om.Run(ctx, p, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := shadow.Check(res)
+	if err := out.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%v: %w", mode, err)
+	}
+	m := &Measurement{Static: res.Stats, BuildTime: time.Since(start), Verify: out.Doc, Lint: out.Static}
+	if r.Trace {
+		// Otherwise the journal, if any, was forced for verification only.
+		m.Journal = res.Journal
+	}
+	return res.Image, m, nil
 }
 
 // AllVariants is the full matrix.
@@ -494,7 +466,7 @@ func (r *Runner) RunBenchmark(ctx context.Context, b spec.Benchmark) (*Result, e
 
 // measureCell links and simulates one matrix cell.
 func (r *Runner) measureCell(ctx context.Context, b spec.Benchmark, v Variant, objs []*objfile.Object) (*Measurement, error) {
-	im, st, journal, vdoc, ldoc, dt, err := r.linkVariant(ctx, objs, v.Link)
+	im, m, err := r.linkVariant(ctx, objs, v.Link)
 	if err != nil {
 		return nil, fmt.Errorf("%s %v/%v: %w", b.Name, v.Build, v.Link, err)
 	}
@@ -508,19 +480,10 @@ func (r *Runner) measureCell(ctx context.Context, b spec.Benchmark, v Variant, o
 		return nil, fmt.Errorf("%s %v/%v: %w", b.Name, v.Build, v.Link, err)
 	}
 	r.logf("  %-10s %-12s %-13s cycles=%-11d insts=%-10d link=%v",
-		b.Name, v.Build, v.Link, run.Stats.Cycles, run.Stats.Instructions, dt.Round(time.Millisecond))
-	return &Measurement{
-		Static:    st,
-		Run:       run.Stats,
-		Exit:      run.Exit,
-		Output:    run.Output,
-		BuildTime: dt,
-		TextBytes: len(im.TextSegment().Data),
-		GATBytes:  im.GATBytes(),
-		Journal:   journal,
-		Verify:    vdoc,
-		Lint:      ldoc,
-	}, nil
+		b.Name, v.Build, v.Link, run.Stats.Cycles, run.Stats.Instructions, m.BuildTime.Round(time.Millisecond))
+	m.Run, m.Exit, m.Output = run.Stats, run.Exit, run.Output
+	m.TextBytes, m.GATBytes = len(im.TextSegment().Data), im.GATBytes()
+	return m, nil
 }
 
 func (r *Runner) runBenchmark(ctx context.Context, s *sem, b spec.Benchmark) (*Result, error) {

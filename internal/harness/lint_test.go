@@ -2,8 +2,10 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/om"
 	"repro/internal/spec"
 )
 
@@ -43,6 +45,44 @@ func TestRunnerWithLint(t *testing.T) {
 		}
 		if err := m.Verify.CrossCheckStatic(m.Lint); err != nil {
 			t.Errorf("%v: engines disagree: %v", v, err)
+		}
+	}
+}
+
+// TestRunnerCatchesBrokenPass: with the standard pass fault injected, a
+// runner that lints or verifies fails the benchmark on the shared shadow
+// gate instead of measuring the broken images.
+func TestRunnerCatchesBrokenPass(t *testing.T) {
+	restore := om.SetFaultHookForTesting(func(pg *om.Prog) {
+		for _, pr := range pg.Procs {
+			for _, si := range pr.Insts {
+				if si.Lit != nil && !si.Lit.Converted && !si.Lit.Nullified && !si.Deleted {
+					si.Deleted = true
+					return
+				}
+			}
+		}
+	})
+	defer restore()
+	b, ok := spec.ByName("compress")
+	if !ok {
+		t.Fatal("no benchmark compress")
+	}
+	for _, tc := range []struct {
+		name string
+		opt  RunnerOption
+		want string
+	}{
+		{"lint", WithLint(true), "lint failed"},
+		{"verify", WithVerify(true), "verification failed"},
+	} {
+		r, err := New(tc.opt, WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.RunBenchmark(context.Background(), b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: broken pass gave %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -108,6 +108,23 @@ func (s *Span) ChildAt(name string, start time.Time) *Span {
 	return c
 }
 
+// FindChild returns the latest direct child named name, so a caller can
+// annotate a span that code it called opened (nil when absent or for a nil
+// receiver).
+func (s *Span) FindChild(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.children) - 1; i >= 0; i-- {
+		if s.children[i].name == name {
+			return s.children[i]
+		}
+	}
+	return nil
+}
+
 // End closes the span now. Idempotent: the first End wins.
 func (s *Span) End() {
 	if s == nil {

@@ -53,7 +53,8 @@ type Config struct {
 	// the linked image is translation-validated against its decision
 	// journal alongside the job. A shadow failure logs and bumps
 	// omd/verify-shadow-failures but never fails the job — only jobs that
-	// set Verify in their spec fail on a bad verdict. 0 disables sampling.
+	// set Verify or Lint in their spec fail on the shadow-check gate.
+	// 0 disables sampling.
 	VerifySample int
 	// Cache persists compiled objects and linked images across jobs (and,
 	// with a directory, across restarts). Nil runs uncached.
@@ -676,45 +677,19 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	if rs.prof != nil {
 		opts = append(opts, om.WithProfile(rs.prof))
 	}
-	if (verifying || shadow) && !rs.traced {
-		// Validation replays the journal, so force one even when the client
-		// did not ask for a trace; it is stripped from the result below.
-		opts = append(opts, om.WithTrace())
-	}
-	var progReports []*dataflow.Report
-	if linting {
-		// The observer runs synchronously inside om.Run; each stage gets
-		// its own analysis span on the job trace.
-		opts = append(opts, om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			as := sp.Child("lint-" + string(stage))
-			defer as.End()
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			as.SetAttr("checked", strconv.FormatUint(rep.Checked, 10))
-			as.SetAttr("errors", strconv.Itoa(rep.Errors()))
-			progReports = append(progReports, rep)
-			return nil
-		}))
-	}
-	omres, err := om.Run(ctx, p, opts...)
+	// Validation replays the journal, forced even when the client did not
+	// ask for a trace (it is stripped from the result below); the lint
+	// observer runs inside om.Run, each stage under its own span.
+	checks := verify.NewShadow(verify.Checks{Verify: verifying || shadow, Lint: linting}, sp)
+	omres, err := om.Run(ctx, p, append(opts, checks.Options()...)...)
 	linkDone()
 	omSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	var vdoc *verify.Doc
-	if verifying || shadow {
-		if vdoc, err = s.verifyImage(omres.Image, omres.Journal, sp, verifying); err != nil {
-			return nil, err
-		}
-	}
-	var ldoc *LintDoc
-	if linting {
-		if ldoc, err = s.lintImage(progReports, omres.Image, sp); err != nil {
-			return nil, err
-		}
+	vdoc, ldoc, err := s.gate(checks.Check(omres), sp, verifying || linting)
+	if err != nil {
+		return nil, err
 	}
 	if !rs.traced && !verifying && !linting {
 		if err := s.cache.PutImage(rs.key, omres.Image); err != nil {
@@ -781,83 +756,43 @@ func (s *Server) simulate(ctx context.Context, im *objfile.Image, rs *resolved, 
 	}, nil
 }
 
-// verifyImage translation-validates a freshly linked image against the
-// decision journal of the run that produced it, under a "verify" child span
-// with the verdict totals as attributes. An explicit (spec.Verify) failure
-// fails the job; a sampled shadow failure logs and counts, so background
-// verification can never break a build that was not asked to prove itself.
-func (s *Server) verifyImage(im *objfile.Image, j *obs.JournalDoc, sp *obs.Span, explicit bool) (*verify.Doc, error) {
-	vs := sp.Child("verify")
-	defer vs.End()
-	mode := "shadow"
-	if explicit {
-		mode = "explicit"
-	}
-	vs.SetAttr("mode", mode)
-	s.reg.Counter("omd/verify-runs").Add(1)
-	verifyDone := obs.StartSpan(s.reg.Timer("omd/verify"))
-	doc, err := verify.ValidateImage(im, j)
-	verifyDone()
-	if doc != nil {
-		vs.SetAttr("checked", strconv.FormatUint(doc.Checked, 10))
-		vs.SetAttr("failed", strconv.FormatUint(doc.Failed, 10))
-		s.reg.Counter("omd/verify-checked").Add(doc.Checked)
-		s.reg.Counter("omd/verify-failed").Add(doc.Failed)
-	}
-	if err == nil {
-		err = doc.Err()
-	}
-	if err != nil {
-		vs.SetAttr("outcome", "failed")
+// gate counts a job's shadow checks and applies the job policy to their
+// shared gate: a job that asked for a check (spec.Verify or spec.Lint)
+// fails on it, while a job checked only by the VerifySample shadow logs
+// and counts the failure, so background verification can never break a
+// build that was not asked to prove itself.
+func (s *Server) gate(out *verify.Outcome, sp *obs.Span, explicit bool) (*verify.Doc, *LintDoc, error) {
+	if out.Checks.Verify {
+		vs := sp.FindChild("verify")
+		mode := "shadow"
 		if explicit {
-			return nil, fmt.Errorf("omd: verification failed: %w", err)
+			mode = "explicit"
+		}
+		vs.SetAttr("mode", mode)
+		s.reg.Timer("omd/verify").Observe(vs.Duration())
+		s.reg.Counter("omd/verify-runs").Add(1)
+		if out.Doc != nil {
+			s.reg.Counter("omd/verify-checked").Add(out.Doc.Checked)
+			s.reg.Counter("omd/verify-failed").Add(out.Doc.Failed)
+		}
+	}
+	var ldoc *LintDoc
+	if out.Checks.Lint {
+		s.reg.Timer("omd/lint").Observe(sp.FindChild("lint").Duration())
+		s.reg.Counter("omd/lint-runs").Add(1)
+		ldoc = &LintDoc{Schema: dataflow.Schema, Reports: out.Reports()}
+		s.reg.Counter("omd/lint-checked").Add(ldoc.Checked())
+		s.reg.Counter("omd/lint-errors").Add(uint64(ldoc.Errors()))
+	}
+	if err := out.Err(); err != nil {
+		if explicit {
+			return nil, nil, fmt.Errorf("omd: %w", err)
 		}
 		s.reg.Counter("omd/verify-shadow-failures").Add(1)
 		s.slog.Warn("omd shadow verification failed", "err", err.Error())
-		return nil, nil
+		return nil, nil, nil
 	}
-	vs.SetAttr("outcome", "ok")
-	return doc, nil
-}
-
-// lintImage completes a lint job's analysis: the emitted image joins the
-// two symbolic-program reports the observer collected, under a "lint"
-// child span with the finding totals as attributes. Any error-severity
-// finding across the three documents fails the job.
-func (s *Server) lintImage(progReports []*dataflow.Report, im *objfile.Image, sp *obs.Span) (*LintDoc, error) {
-	ls := sp.Child("lint")
-	defer ls.End()
-	s.reg.Counter("omd/lint-runs").Add(1)
-	lintDone := obs.StartSpan(s.reg.Timer("omd/lint"))
-	imgRep, err := dataflow.AnalyzeImage(im)
-	lintDone()
-	if err != nil {
-		ls.SetAttr("outcome", "failed")
-		return nil, fmt.Errorf("omd: lint: %w", err)
-	}
-	doc := &LintDoc{Schema: dataflow.Schema, Reports: append(progReports, imgRep)}
-	ls.SetAttr("checked", strconv.FormatUint(doc.Checked(), 10))
-	ls.SetAttr("errors", strconv.Itoa(doc.Errors()))
-	s.reg.Counter("omd/lint-checked").Add(doc.Checked())
-	s.reg.Counter("omd/lint-errors").Add(uint64(doc.Errors()))
-	if n := doc.Errors(); n > 0 {
-		ls.SetAttr("outcome", "failed")
-		var first string
-		for _, r := range doc.Reports {
-			for _, f := range r.Findings {
-				if f.Severity == dataflow.SevError {
-					first = f.String()
-					break
-				}
-			}
-			if first != "" {
-				break
-			}
-		}
-		return nil, fmt.Errorf("omd: lint failed: %d error finding(s); first: %s", n, first)
-	}
-	ls.SetAttr("outcome", "ok")
-	return doc, nil
+	return out.Doc, ldoc, nil
 }
 
 func imageBytes(im *objfile.Image) ([]byte, error) {

@@ -63,7 +63,8 @@ type JobSpec struct {
 	Simulate bool `json:"simulate,omitempty"`
 	// Verify translation-validates the freshly linked image against its
 	// decision journal (om-verify/v1); a rewrite the validator cannot
-	// prove sound fails the job. Verified jobs always execute — the
+	// prove sound fails the job, as does, with Lint also set, a
+	// disagreement between the verdicts and the image's findings. Verified jobs always execute — the
 	// persistent image cache cannot answer them, because validation needs
 	// the journal of the run that produced the image.
 	Verify bool `json:"verify,omitempty"`

@@ -190,17 +190,19 @@ func Differential(ctx context.Context, opts DiffOptions) (*DiffReport, error) {
 		r.Runs++
 
 		for _, c := range opts.Cells {
-			cr, err := RunCell(ctx, objs, c, nil)
+			cr, err := RunCell(ctx, objs, c, nil, Checks{Verify: true})
 			if err != nil {
 				return nil, fmt.Errorf("verify: seed %d: %w", seed, err)
 			}
-			if cr.Doc.Failed > 0 {
+			if err := cr.Err(); err != nil {
 				r.Mismatches = append(r.Mismatches, Mismatch{
 					Seed: seed, Cell: c.Name(), Field: "verdict",
-					Detail: cr.Doc.Err().Error(),
+					Detail: err.Error(),
 				})
 			}
-			r.Checked += cr.Doc.Checked
+			if cr.Doc != nil {
+				r.Checked += cr.Doc.Checked
+			}
 			opt, err := execute(cr.Image, opts.MaxInstructions)
 			if err != nil {
 				r.Mismatches = append(r.Mismatches, Mismatch{

@@ -19,7 +19,7 @@ import (
 // same-gat/diff-gat rules must prove both sides of the split.
 func TestSharedLibCrossClusterGPReset(t *testing.T) {
 	objs := fixtureObjects(t)
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil,
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil, Checks{Verify: true},
 		"libmath", "libutil")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ long main() {
 	}
 	objs := append([]*objfile.Object{obj}, lib...)
 	for _, level := range []om.Level{om.LevelNone, om.LevelSimple, om.LevelFull} {
-		r, err := RunCell(context.Background(), objs, Cell{Level: level}, nil)
+		r, err := RunCell(context.Background(), objs, Cell{Level: level}, nil, Checks{Verify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ long main() {
 			{Name: "filler", Entries: 5, Weight: 500},
 		},
 	}
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull, Profile: true}, prof)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull, Profile: true}, prof, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dataflow"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -69,16 +68,13 @@ func QuickCells() []Cell {
 	}
 }
 
-// CellResult is one verified OM run.
+// CellResult is one OM run of a matrix cell and what its shadow checks
+// found.
 type CellResult struct {
 	Cell    Cell
 	Image   *objfile.Image
 	Journal *obs.JournalDoc
-	Doc     *Doc
-	// Static is the whole-program dataflow analysis of the produced image —
-	// the same invariants the journal validation witnesses dynamically,
-	// proved over the decoded bytes without running anything.
-	Static *dataflow.Report
+	*Outcome
 }
 
 // EngineProfile runs the image under the simulator's engine profiler and
@@ -95,12 +91,12 @@ func EngineProfile(im *objfile.Image, maxInst uint64) (*profile.Profile, error) 
 	return profile.FromImage(im, blocks)
 }
 
-// RunCell merges the objects, runs OM at the cell's settings with tracing,
-// and validates the decision journal against the produced image. A profile
-// cell with a nil profile collects one by running the cell's unprofiled
-// image under the engine profiler first. shared names modules to link
-// dynamically.
-func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.Profile, shared ...string) (*CellResult, error) {
+// RunCell merges the objects, runs OM at the cell's settings, and runs the
+// selected shadow checks over the link; the result's Err is their gate. A
+// profile cell with a nil profile collects one by running the cell's
+// unprofiled image under the engine profiler first. shared names modules
+// to link dynamically.
+func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.Profile, checks Checks, shared ...string) (*CellResult, error) {
 	merge := func() (*link.Program, error) {
 		p, err := link.Merge(objs)
 		if err != nil {
@@ -111,7 +107,7 @@ func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.
 		}
 		return p, nil
 	}
-	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule), om.WithTrace()}
+	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule)}
 	if c.Ablation != (om.Ablation{}) {
 		opts = append(opts, om.WithAblation(c.Ablation))
 	}
@@ -136,19 +132,12 @@ func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.
 	if err != nil {
 		return nil, err
 	}
-	res, err := om.Run(ctx, p, opts...)
+	sh := NewShadow(checks, nil)
+	res, err := om.Run(ctx, p, append(opts, sh.Options()...)...)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", c.Name(), err)
 	}
-	doc, err := ValidateImage(res.Image, res.Journal)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %s: %w", c.Name(), err)
-	}
-	static, err := dataflow.AnalyzeImage(res.Image)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %s: static analysis: %w", c.Name(), err)
-	}
-	return &CellResult{Cell: c, Image: res.Image, Journal: res.Journal, Doc: doc, Static: static}, nil
+	return &CellResult{Cell: c, Image: res.Image, Journal: res.Journal, Outcome: sh.Check(res)}, nil
 }
 
 // MatrixEntry is one row of a matrix verification report. Checked/Failed
@@ -164,9 +153,9 @@ type MatrixEntry struct {
 	Err          string `json:"err,omitempty"`
 }
 
-// RunMatrix verifies one program (already compiled to objects) across the
-// given cells, collecting the engine profile once and reusing it for every
-// profile cell. It returns one entry per cell; entries with Failed > 0 or
+// RunMatrix verifies and lints one program (already compiled to objects)
+// across the given cells, collecting the engine profile once and reusing
+// it for every profile cell. It returns one entry per cell; entries with
 // a non-empty Err are verification failures.
 func RunMatrix(ctx context.Context, label string, objs []*objfile.Object, cells []Cell) []MatrixEntry {
 	var prof *profile.Profile
@@ -176,7 +165,7 @@ func RunMatrix(ctx context.Context, label string, objs []*objfile.Object, cells 
 		if c.Profile && prof == nil {
 			// Collect one profile from the scheduled OM-full image and share
 			// it across the profile cells.
-			r, err := RunCell(ctx, objs, Cell{Level: om.LevelFull, Schedule: true}, nil)
+			r, err := RunCell(ctx, objs, Cell{Level: om.LevelFull, Schedule: true}, nil, Checks{})
 			if err == nil {
 				prof, err = EngineProfile(r.Image, 100_000_000)
 			}
@@ -186,24 +175,18 @@ func RunMatrix(ctx context.Context, label string, objs []*objfile.Object, cells 
 				continue
 			}
 		}
-		r, err := RunCell(ctx, objs, c, prof)
+		r, err := RunCell(ctx, objs, c, prof, Checks{Verify: true, Lint: true})
+		if err == nil {
+			if r.Doc != nil {
+				e.Checked, e.Failed = r.Doc.Checked, r.Doc.Failed
+			}
+			if r.Static != nil {
+				e.Static, e.StaticFailed = r.Static.Checked, uint64(r.Static.Errors())
+			}
+			err = r.Err()
+		}
 		if err != nil {
 			e.Err = err.Error()
-			out = append(out, e)
-			continue
-		}
-		e.Checked, e.Failed = r.Doc.Checked, r.Doc.Failed
-		e.Static = r.Static.Checked
-		e.StaticFailed = uint64(r.Static.Errors())
-		if err := r.Doc.Err(); err != nil {
-			e.Err = err.Error()
-		} else if n := r.Static.Errors(); n > 0 {
-			for _, f := range r.Static.Findings {
-				if f.Severity == dataflow.SevError {
-					e.Err = fmt.Sprintf("static analysis: %d error finding(s): %s", n, f.String())
-					break
-				}
-			}
 		}
 		out = append(out, e)
 	}

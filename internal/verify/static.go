@@ -32,15 +32,19 @@ func (d *Doc) CrossCheckStatic(rep *dataflow.Report) error {
 	if rep.Checked == 0 {
 		return fmt.Errorf("verify: static report evaluated no check sites")
 	}
-	if d.Failed == 0 {
-		if n := rep.Errors(); n > 0 {
-			for _, f := range rep.Findings {
-				if f.Severity == dataflow.SevError {
-					return fmt.Errorf("verify: all %d dynamic verdicts sound but static analysis reports %d error(s); first: %s",
-						d.Checked, n, f.String())
-				}
-			}
-		}
+	if n := rep.Errors(); d.Failed == 0 && n > 0 {
+		return fmt.Errorf("verify: all %d dynamic verdicts sound but static analysis reports %d error(s); first: %s",
+			d.Checked, n, firstError(rep))
 	}
 	return nil
+}
+
+// firstError renders the report's first error-severity finding.
+func firstError(rep *dataflow.Report) string {
+	for _, f := range rep.Findings {
+		if f.Severity == dataflow.SevError {
+			return f.String()
+		}
+	}
+	return ""
 }

@@ -88,7 +88,7 @@ func TestMatrixClean(t *testing.T) {
 // and the journal/verdict cross-check.
 func TestVerdictCoverage(t *testing.T) {
 	objs := fixtureObjects(t)
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestVerdictCoverage(t *testing.T) {
 // foreign schemas.
 func TestDocRoundTrip(t *testing.T) {
 	objs := fixtureObjects(t)
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelSimple}, nil)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelSimple}, nil, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDocRoundTrip(t *testing.T) {
 // pass against a journal with a different event population.
 func TestCrossCheckDetectsDivergence(t *testing.T) {
 	objs := fixtureObjects(t)
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBrokenPassCaught(t *testing.T) {
 
 	// Pillar (a): the translation validator sees a kept load with no
 	// surviving GAT-load witness.
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTranslateRejectsForeignJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil)
+	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelFull}, nil, Checks{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
